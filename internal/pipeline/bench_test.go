@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"mimdloop/internal/core"
 	"mimdloop/internal/exec"
 	"mimdloop/internal/workload"
 )
@@ -213,5 +214,62 @@ func BenchmarkServeNearCapStream(b *testing.B) {
 	}
 	if w.status != http.StatusOK {
 		b.Fatalf("status %d", w.status)
+	}
+}
+
+// codecBenchPlan builds the plan the codec benchmarks and allocation
+// budgets run on: Table 1's first loop (12 nodes) at 250 iterations,
+// 3,000 placements, with its schedule bytes already memoized as they
+// are by the time the serving path encodes a plan.
+func codecBenchPlan(tb testing.TB) *Plan {
+	tb.Helper()
+	suite, err := workload.Suite()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, _, err := New(Config{DisableCache: true}).Schedule(suite[0], core.Options{CommCost: 2}, 250)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := p.ScheduleJSON(); err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// BenchmarkEncodePlan measures EncodePlan on a 3,000-placement plan:
+// the header through encoding/json, the memoized schedule bytes copied,
+// the programs appended.
+func BenchmarkEncodePlan(b *testing.B) {
+	p := codecBenchPlan(b)
+	rec, err := EncodePlan(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodePlan(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodePlan measures DecodePlan on the same plan's record:
+// one strict pass over the bytes, with every check a disk read, record
+// fill or peer fill makes.
+func BenchmarkDecodePlan(b *testing.B) {
+	rec, err := EncodePlan(codecBenchPlan(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodePlan(rec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"mimdloop/internal/core"
+	"mimdloop/internal/jsonwire"
 	"mimdloop/internal/plan"
 	"mimdloop/internal/program"
 )
@@ -41,6 +42,16 @@ import (
 //	    apart from the header, and version <= 3 records decode as
 //	    grain 0 with their original keys intact.
 //
+// The one-pass codec changed how records are written and read, not the
+// format, so the version stays 4: records are byte-identical to the
+// ones encoding/json wrote, and every version-1 to -4 record those
+// wrote still decodes. What decoding now refuses is what it should
+// never have served: a placement or instruction index outside the
+// record's graph or programs (which panicked the first evaluation that
+// ran it), an instruction past the keyed iteration count, a repeated
+// key, and a key that matches a field only under case folding (which
+// encoding/json silently merged).
+//
 // Decoded annotations are not codec-internal state: the server includes
 // them in /v1/schedule replies as the "measured_by" field, and restoring
 // them via SetMeasured advances the plan's measured generation — which
@@ -56,8 +67,10 @@ const (
 	planRecordMinVersion = 1
 )
 
-// planRecord is the wire form of one persisted plan.
-type planRecord struct {
+// planHeader is everything a record holds ahead of its schedule: a few
+// hundred bytes, so encoding/json renders it. The schedule and the
+// programs follow it, written by their own appenders.
+type planHeader struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
 
@@ -78,28 +91,24 @@ type planRecord struct {
 
 	Pattern *PatternInfo `json:"pattern,omitempty"`
 
-	// Measured is the version-2 single-annotation block, decoded for
-	// backward compatibility and never encoded at version 3.
-	Measured *MeasuredStats `json:"measured,omitempty"`
 	// MeasuredBy is the plan's last measured evaluation per execution
 	// backend, sorted by backend name (version >= 3; omitted when the
 	// plan was only ever scored statically).
 	MeasuredBy []*MeasuredStats `json:"measured_by,omitempty"`
-
-	Schedule json.RawMessage   `json:"schedule"`
-	Programs []program.Program `json:"programs"`
 }
 
 // EncodePlan serializes a plan to the durable record format. The
 // record's key is derived from the plan's own ingredients (PlanKey), so
 // a record can never claim to answer a request its content does not
-// match.
+// match. Only the header goes through encoding/json; the memoized
+// schedule bytes are copied in as they are and the programs are
+// appended directly, so each byte is written once.
 func EncodePlan(p *Plan) ([]byte, error) {
 	sched, err := p.ScheduleJSON()
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: encode plan schedule: %w", err)
 	}
-	return json.Marshal(&planRecord{
+	head, err := json.Marshal(&planHeader{
 		Format:         planRecordFormat,
 		Version:        planRecordVersion,
 		Key:            PlanKey(p.GraphHash, p.Opts, p.Iterations),
@@ -116,13 +125,38 @@ func EncodePlan(p *Plan) ([]byte, error) {
 		GreedyFallback: p.Schedule.GreedyFallback,
 		Pattern:        p.Pattern(),
 		MeasuredBy:     p.MeasuredAll(),
-		Schedule:       sched,
-		Programs:       p.Programs,
 	})
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: encode plan record: %w", err)
+	}
+	rec := make([]byte, 0, len(head)+len(sched)+program.JSONSize(p.Programs)+len(`,"schedule":,"programs":`))
+	rec = append(rec, head[:len(head)-1]...) // reopen the header object
+	rec = append(rec, `,"schedule":`...)
+	rec = append(rec, sched...)
+	rec = append(rec, `,"programs":`...)
+	rec = program.AppendJSON(rec, p.Programs)
+	return append(rec, '}'), nil
+}
+
+var planRecordKeys = []string{
+	"format", "version", "key", "graph_hash", "options", "iterations",
+	"rate_cycles_per_iteration", "procs", "makespan",
+	"cyclic_procs", "flow_in_procs", "flow_out_procs", "folded", "greedy_fallback",
+	"pattern", "measured", "measured_by", "schedule", "programs",
 }
 
 // DecodePlan reverses EncodePlan, structurally validating the record. It
 // returns the plan's full cache key alongside the reconstructed plan.
+//
+// The record is parsed in one pass by the strict scanner the schedule
+// and program decoders share (internal/jsonwire): any key order and
+// insignificant whitespace are accepted and unknown keys skipped, while
+// only the small options, pattern and measured blocks go through
+// encoding/json. Placements and instructions are range-checked as they
+// are read (see plan.Schedule.DecodeJSON and program.DecodeJSON), and
+// instruction iterations against the keyed iteration count once it is
+// known, so a record naming a node outside its graph is rejected here
+// rather than panicking the first evaluation that runs it.
 //
 // A decoded plan serves identically to the freshly-built original —
 // same accessors, same pattern summary, byte-identical ScheduleJSON —
@@ -130,8 +164,71 @@ func EncodePlan(p *Plan) ([]byte, error) {
 // Schedule.Class are nil. Consumers that need those re-schedule; the
 // serving surface never does.
 func DecodePlan(data []byte) (key string, p *Plan, err error) {
-	var rec planRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	var (
+		rec      planHeader
+		measured *MeasuredStats // the version-2 single-annotation block
+		full     *plan.Schedule
+		progs    []program.Program
+		// progsRaw holds a programs list that came before the schedule:
+		// it is decoded once the schedule fixes the node bound.
+		progsRaw []byte
+	)
+	sc := jsonwire.New(data)
+	err = sc.Object(planRecordKeys, func(k string) (err error) {
+		switch k {
+		case "format":
+			rec.Format, err = sc.String()
+		case "version":
+			rec.Version, err = sc.Int()
+		case "key":
+			rec.Key, err = sc.String()
+		case "graph_hash":
+			rec.GraphHash, err = sc.String()
+		case "options":
+			err = decodeBlock(sc, &rec.Options)
+		case "iterations":
+			rec.Iterations, err = sc.Int()
+		case "rate_cycles_per_iteration":
+			rec.Rate, err = sc.Float64()
+		case "procs":
+			rec.Procs, err = sc.Int()
+		case "makespan":
+			rec.Makespan, err = sc.Int()
+		case "cyclic_procs":
+			rec.CyclicProcs, err = sc.Int()
+		case "flow_in_procs":
+			rec.FlowInProcs, err = sc.Int()
+		case "flow_out_procs":
+			rec.FlowOutProcs, err = sc.Int()
+		case "folded":
+			rec.Folded, err = sc.Bool()
+		case "greedy_fallback":
+			rec.GreedyFallback, err = sc.Bool()
+		case "pattern":
+			err = decodeBlock(sc, &rec.Pattern)
+		case "measured":
+			err = decodeBlock(sc, &measured)
+		case "measured_by":
+			err = decodeBlock(sc, &rec.MeasuredBy)
+		case "schedule":
+			full = new(plan.Schedule)
+			err = full.DecodeJSON(sc)
+		case "programs":
+			if full == nil {
+				progsRaw, err = sc.Raw()
+			} else {
+				progs, err = program.DecodeJSON(sc, full.Graph.N())
+			}
+		}
+		return err
+	})
+	if err == nil {
+		err = sc.End()
+	}
+	if err == nil && progsRaw != nil && full != nil {
+		progs, err = program.DecodeJSON(jsonwire.New(progsRaw), full.Graph.N())
+	}
+	if err != nil {
 		return "", nil, fmt.Errorf("pipeline: decode plan record: %w", err)
 	}
 	if rec.Format != planRecordFormat {
@@ -144,9 +241,8 @@ func DecodePlan(data []byte) (key string, p *Plan, err error) {
 	if rec.Key == "" || rec.GraphHash == "" {
 		return "", nil, errors.New("pipeline: plan record missing key")
 	}
-	full := new(plan.Schedule)
-	if err := json.Unmarshal(rec.Schedule, full); err != nil {
-		return "", nil, fmt.Errorf("pipeline: decode plan record: %w", err)
+	if full == nil {
+		return "", nil, errors.New("pipeline: plan record missing schedule")
 	}
 	if got := PlanKey(rec.GraphHash, rec.Options, rec.Iterations); got != rec.Key {
 		return "", nil, fmt.Errorf("pipeline: plan record key %q does not match its ingredients %q", rec.Key, got)
@@ -173,6 +269,21 @@ func DecodePlan(data []byte) (key string, p *Plan, err error) {
 	if gotGrain != wantGrain {
 		return "", nil, fmt.Errorf("pipeline: plan record schedule grain %d, options claim %d", full.Grain, rec.Options.Grain)
 	}
+	// Instructions address chunks of the keyed iteration count; one past
+	// the last chunk would hand the goroutine runtime an empty or
+	// negative iteration span.
+	chunks := rec.Iterations
+	if full.Grain > 1 {
+		chunks = (rec.Iterations + full.Grain - 1) / full.Grain
+	}
+	for _, pr := range progs {
+		for i, in := range pr.Instrs {
+			if in.Iter >= chunks {
+				return "", nil, fmt.Errorf("pipeline: plan record program %d instruction %d is for iteration %d of %d",
+					pr.Proc, i, in.Iter, chunks)
+			}
+		}
+	}
 	p = &Plan{
 		GraphHash:  rec.GraphHash,
 		Opts:       rec.Options,
@@ -188,7 +299,7 @@ func DecodePlan(data []byte) (key string, p *Plan, err error) {
 			Folded:         rec.Folded,
 			GreedyFallback: rec.GreedyFallback,
 		},
-		Programs: rec.Programs,
+		Programs: progs,
 		makespan: rec.Makespan,
 		procs:    rec.Procs,
 		rate:     rec.Rate,
@@ -196,17 +307,27 @@ func DecodePlan(data []byte) (key string, p *Plan, err error) {
 	}
 	// Version-2 records carry one "measured" block; SetMeasured adopts
 	// its empty Backend as "sim" — the only backend that existed then.
-	if rec.Measured != nil {
-		p.SetMeasured(rec.Measured)
+	if measured != nil {
+		p.SetMeasured(measured)
 	}
 	for _, ms := range rec.MeasuredBy {
 		if ms != nil {
 			p.SetMeasured(ms)
 		}
 	}
-	// Seed the memoized wire encoding with the record's own bytes, so a
-	// disk-loaded plan serves byte-identical schedule JSON without ever
-	// re-marshaling.
-	p.schedJSONOnce.Do(func() { p.schedJSON = append([]byte(nil), rec.Schedule...) })
+	// ScheduleJSON renders the decoded schedule on first use: for every
+	// record EncodePlan wrote that reproduces the record's own schedule
+	// bytes, and for any other accepted record it yields the canonical
+	// compact form, which replies embed without re-compacting.
 	return rec.Key, p, nil
+}
+
+// decodeBlock hands one small value (options, pattern, measured stats)
+// to encoding/json.
+func decodeBlock(sc *jsonwire.Scanner, v any) error {
+	raw, err := sc.Raw()
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, v)
 }

@@ -278,3 +278,33 @@ func TestArchitectureDocCoversCalibration(t *testing.T) {
 		}
 	}
 }
+
+// TestArchitectureDocCoversPlanWirePath pins the "Plan wire path"
+// section of docs/ARCHITECTURE.md to the design it documents: direct
+// appenders and the memoized schedule bytes, the envelope split behind
+// all three reply lanes, the strict single-pass decode with its range
+// checks, disk I/O outside the store lock, and the tests and
+// benchmarks that hold each in place.
+func TestArchitectureDocCoversPlanWirePath(t *testing.T) {
+	data, err := os.ReadFile("../../docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatalf("docs/ARCHITECTURE.md must exist: %v", err)
+	}
+	doc := string(data)
+	for _, fragment := range []string{
+		"## Plan wire path", "Encode once, copy after", "plan.Schedule.AppendJSON",
+		"program.AppendJSON", "One envelope split for all three reply lanes",
+		"splitScheduleReply", "re-compacts", "Single-pass decode with range checks",
+		"jsonwire.Scanner", "program.DecodeJSON", "node 99", "I/O outside the disk lock",
+		"fsync", "TestPlanWireMatchesReference", "codec_ref_test.go", "FuzzDecodePlan",
+		"TestDiskStoreConcurrentAccess", "BenchmarkEncodePlan", "BenchmarkDecodePlan",
+		"BenchmarkServeCold", "TestPlanCodecAllocs",
+	} {
+		if !strings.Contains(doc, fragment) {
+			t.Errorf("docs/ARCHITECTURE.md does not cover the plan wire path fragment %q", fragment)
+		}
+	}
+	if strings.Contains(doc, "only sees memory misses") {
+		t.Error("docs/ARCHITECTURE.md still justifies the disk lock by the tier only seeing memory misses")
+	}
+}

@@ -479,9 +479,10 @@ type Server struct {
 	// csim evaluations are scaled by (see calib.go).
 	calib Calibration
 	// streamThreshold is the embedded-schedule size above which a reply
-	// streams (envelope prefix, memoized schedule bytes, suffix — chunked)
-	// instead of buffering the whole body; streamed / streamBytes count
-	// those replies for /v1/stats.
+	// streams (envelope prefix, memoized schedule bytes, suffix — chunked,
+	// the prefix flushed first) instead of going out under a
+	// Content-Length or from the memoized hit body; streamed /
+	// streamBytes count those replies for /v1/stats.
 	streamThreshold int
 	streamed        atomic.Uint64
 	streamBytes     atomic.Uint64
@@ -511,10 +512,9 @@ type ServerConfig struct {
 	// `loopsched serve -calibrate-every`.
 	Calibration Calibration
 	// StreamThreshold is the embedded-schedule byte size above which a
-	// /v1/schedule reply is streamed to the socket (chunked transfer)
-	// instead of rendered into one heap buffer. Values <= 0 mean 1 MiB —
-	// aligned with maxPooledRespBuf, so every reply too large to recycle
-	// its encode buffer streams instead of allocating and discarding one.
+	// /v1/schedule reply is streamed to the socket (chunked transfer,
+	// first byte before the schedule copy) and a cache hit is not
+	// memoized as one pre-rendered body. Values <= 0 mean 1 MiB.
 	StreamThreshold int
 }
 
@@ -531,8 +531,12 @@ func (c ServerConfig) streamLimit() int {
 	if c.StreamThreshold > 0 {
 		return c.StreamThreshold
 	}
-	return maxPooledRespBuf
+	return defaultStreamThreshold
 }
+
+// defaultStreamThreshold is the streaming threshold of a zero
+// ServerConfig.
+const defaultStreamThreshold = 1 << 20
 
 // NewServer wraps p in an http.Handler with the default configuration.
 func NewServer(p *Pipeline) *Server { return NewServerWith(p, ServerConfig{}) }
@@ -668,14 +672,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		// — a memoized cache-hit body, or the owner's reply verbatim —
 		// served without re-encoding anything.
 		writeRawJSON(w, status, rep.raw)
-	case rep.stream != nil:
-		// The streaming lane: a reply whose embedded schedule is over the
-		// threshold never materializes as one buffer — the envelope prefix
-		// goes out first, then the memoized schedule bytes, then the
-		// closing suffix.
-		s.writeStreamed(w, status, rep.stream)
 	default:
-		writeJSON(w, http.StatusOK, rep.resp)
+		// Every other reply is the envelope split: prefix, the memoized
+		// schedule bytes and the suffix go out as they are, never joined
+		// in one buffer or re-encoded.
+		s.writeSplit(w, status, rep.split)
 	}
 }
 
@@ -732,12 +733,10 @@ func parseSimulateQuery(q url.Values) (*MeasuredEvaluator, error) {
 // scheduleReply is the outcome of a schedule request's compute section.
 // Exactly one field is set on success: pre-rendered wire bytes when the
 // request rode the cache-hit fast lane or was proxied to its cluster
-// owner, a split streamed reply when the embedded schedule is over the
-// streaming threshold, a response value to encode otherwise.
+// owner, the split reply otherwise.
 type scheduleReply struct {
-	raw    []byte
-	stream *streamedReply
-	resp   *ScheduleResponse
+	raw   []byte
+	split *splitReply
 }
 
 // scheduleResponse runs the compute section of a schedule request; on
@@ -796,38 +795,29 @@ func (s *Server) scheduleResponse(req *ScheduleRequest, rawBody []byte, sim *Mea
 		measured = score.Measured
 	}
 
-	resp, err := buildScheduleResponse(plan, compiled.Loop.Name, hit, measured)
+	split, err := splitScheduleReply(plan, compiled.Loop.Name, hit, measured)
 	if err != nil {
 		return scheduleReply{}, http.StatusInternalServerError, err
 	}
-	if st, ok, err := s.streamScheduleResponse(resp); err != nil {
-		return scheduleReply{}, http.StatusInternalServerError, err
-	} else if ok {
-		return scheduleReply{stream: st}, http.StatusOK, nil
-	}
-	return scheduleReply{resp: resp}, http.StatusOK, nil
+	return scheduleReply{split: split}, http.StatusOK, nil
 }
 
 // hitReply serves a cache hit. Small plans go through the memoized
 // pre-rendered hit body; plans whose schedule bytes are over the
-// streaming threshold split for streaming instead — rendering (and
+// streaming threshold stream their split reply instead — rendering (and
 // memoizing) a multi-MB hit body would pin exactly the allocation the
-// streaming path exists to avoid.
+// streaming lane exists to avoid.
 func (s *Server) hitReply(plan *Plan, loop string) (scheduleReply, int, error) {
 	sched, err := plan.ScheduleJSON()
 	if err != nil {
 		return scheduleReply{}, http.StatusInternalServerError, err
 	}
 	if len(sched) > s.streamThreshold {
-		resp, err := buildScheduleResponse(plan, loop, true, nil)
+		split, err := splitScheduleReply(plan, loop, true, nil)
 		if err != nil {
 			return scheduleReply{}, http.StatusInternalServerError, err
 		}
-		st, _, err := s.streamScheduleResponse(resp)
-		if err != nil {
-			return scheduleReply{}, http.StatusInternalServerError, err
-		}
-		return scheduleReply{stream: st}, http.StatusOK, nil
+		return scheduleReply{split: split}, http.StatusOK, nil
 	}
 	body, err := renderHitBody(plan, loop)
 	if err != nil {
@@ -836,116 +826,40 @@ func (s *Server) hitReply(plan *Plan, loop string) (scheduleReply, int, error) {
 	return scheduleReply{raw: body}, http.StatusOK, nil
 }
 
-// streamedReply is a schedule response split for streaming: the JSON
-// envelope up to (and including) the `"schedule":` key, the memoized
-// schedule bytes, and the closing `}` plus newline. Concatenated, the
-// three parts are byte-identical to the buffered rendering — the
-// schedule bytes are already compact JSON with nothing the encoder
-// would re-escape (TestStreamedReplyByteIdentical pins this).
-type streamedReply struct {
+// splitReply is a /v1/schedule reply split around its embedded schedule:
+// the JSON envelope up to (and including) the `"schedule":` key, the
+// plan's memoized schedule bytes, and replySuffix. Concatenated, the
+// three parts are byte-identical to what encoding/json renders for the
+// whole ScheduleResponse — the schedule bytes are already compact JSON
+// with nothing the encoder would re-escape. All three reply lanes are
+// built from it: a cold reply writes the parts under an exact
+// Content-Length, the memoized hit body joins them once per plan, and
+// an over-threshold reply streams them chunked.
+type splitReply struct {
 	prefix []byte
 	sched  []byte
-	suffix []byte
 }
 
-// streamedSuffix closes a streamed schedule reply: Schedule is the last
-// envelope field, so after the raw schedule bytes only the object brace
-// and writeJSON's newline framing remain.
-var streamedSuffix = []byte("}\n")
+// replySuffix closes a schedule reply: Schedule is the last envelope
+// field, so after the schedule bytes only the object brace and the
+// newline framing every JSON reply carries remain.
+const replySuffix = "}\n"
 
-// streamScheduleResponse splits resp for streaming when its embedded
-// schedule exceeds the server's threshold. The split marshals the
-// envelope with a nil schedule — yielding `…,"schedule":null}` — and
-// strips the trailing `null}`, leaving everything up to the value
-// position; the memoized schedule bytes then flow to the socket via
-// io.Copy without ever joining the envelope in one buffer.
-func (s *Server) streamScheduleResponse(resp *ScheduleResponse) (*streamedReply, bool, error) {
-	if len(resp.Schedule) <= s.streamThreshold {
-		return nil, false, nil
-	}
-	env := *resp
-	sched := env.Schedule
-	env.Schedule = nil
-	data, err := json.Marshal(&env)
-	if err != nil {
-		return nil, false, err
-	}
-	tail := []byte("null}")
-	if !bytes.HasSuffix(data, tail) {
-		// Unreachable while Schedule stays the final, non-omitempty field
-		// of ScheduleResponse; fail closed rather than emit a torn body.
-		return nil, false, fmt.Errorf("schedule envelope does not end in %q", tail)
-	}
-	return &streamedReply{
-		prefix: data[:len(data)-len(tail)],
-		sched:  sched,
-		suffix: streamedSuffix,
-	}, true, nil
-}
+// size is the reply's length in bytes.
+func (r *splitReply) size() int { return len(r.prefix) + len(r.sched) + len(replySuffix) }
 
-// writeStreamed writes a split schedule reply without ever buffering the
-// whole body: the envelope prefix goes out and is flushed (first byte on
-// the wire before any schedule copying starts), then the memoized
-// schedule bytes, then the closing suffix. No Content-Length is set, so
-// HTTP/1.1 replies go out chunked. The streamed / stream_bytes counters
-// feed /v1/stats.
-func (s *Server) writeStreamed(w http.ResponseWriter, status int, st *streamedReply) {
-	h := w.Header()
-	h["Content-Type"] = jsonContentType
-	w.WriteHeader(status)
-	total, err := w.Write(st.prefix)
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-	if err == nil {
-		// bytes.Reader implements WriterTo, so io.Copy hands the schedule
-		// slice to the socket in one Write — no intermediate copy window.
-		n, cerr := io.Copy(w, bytes.NewReader(st.sched))
-		total += int(n)
-		err = cerr
-	}
-	if err == nil {
-		n, _ := w.Write(st.suffix)
-		total += n
-	}
-	s.streamed.Add(1)
-	s.streamBytes.Add(uint64(total))
-}
-
-// renderHitBody returns the plan's memoized cache-hit wire bytes. The
-// fast lane: every field of the hit response is a pure function of
-// (plan, loop name), so the wire bytes are memoized on the plan itself
-// — rendered on the first hit, invalidated when a measured annotation
-// lands, byte-identical across repeat hits. ScheduleJSON was already
-// memoized; this extends the idea to the whole envelope, fixing the
-// latent double-encode where the embedded raw schedule was re-compacted
-// through the outer marshal on every hit.
-func renderHitBody(plan *Plan, loop string) ([]byte, error) {
-	return plan.HitResponseBody(loop, func() ([]byte, error) {
-		resp, err := buildScheduleResponse(plan, loop, true, nil)
-		if err != nil {
-			return nil, err
-		}
-		body, err := json.Marshal(resp)
-		if err != nil {
-			return nil, err
-		}
-		// writeJSON's encoder terminates bodies with a newline; the
-		// pre-rendered body matches so hits and misses differ only in
-		// content, never framing.
-		return append(body, '\n'), nil
-	})
-}
-
-// buildScheduleResponse assembles the /v1/schedule reply for a plan. The
-// fast lane and the dynamic path both come through here, so the two can
-// never drift apart field-wise.
-func buildScheduleResponse(plan *Plan, loop string, hit bool, measured *MeasuredStats) (*ScheduleResponse, error) {
+// splitScheduleReply renders the /v1/schedule reply for a plan as a
+// split. The envelope is marshaled with a nil schedule — yielding
+// `…,"schedule":null}` — and the trailing `null}` is stripped, leaving
+// everything up to the value position. The fast lane and the dynamic
+// path both come through here, so the two can never drift apart
+// field-wise.
+func splitScheduleReply(plan *Plan, loop string, hit bool, measured *MeasuredStats) (*splitReply, error) {
 	sched, err := plan.ScheduleJSON()
 	if err != nil {
 		return nil, err
 	}
-	return &ScheduleResponse{
+	env, err := json.Marshal(&ScheduleResponse{
 		Loop:           loop,
 		Nodes:          plan.Schedule.Graph.N(),
 		GraphHash:      plan.GraphHash,
@@ -960,11 +874,71 @@ func buildScheduleResponse(plan *Plan, loop string, hit bool, measured *Measured
 		CacheHit:       hit,
 		Simulated:      measured,
 		MeasuredBy:     plan.MeasuredAll(),
-		Schedule:       sched,
 		// The pattern summary is denormalized onto the plan so plans
 		// loaded from a durable store serve the same block.
 		Pattern: plan.Pattern(),
-	}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	tail := []byte("null}")
+	if !bytes.HasSuffix(env, tail) {
+		// Unreachable while Schedule stays the final, non-omitempty field
+		// of ScheduleResponse; fail closed rather than emit a torn body.
+		return nil, fmt.Errorf("schedule envelope does not end in %q", tail)
+	}
+	return &splitReply{prefix: env[:len(env)-len(tail)], sched: sched}, nil
+}
+
+// writeSplit writes a split schedule reply part by part, never joining
+// it into one buffer. A reply whose schedule is over the streaming
+// threshold goes out chunked: no Content-Length is set, and the prefix
+// is flushed before any schedule byte, so time-to-first-byte stops
+// scaling with body size; the streamed / stream_bytes counters feed
+// /v1/stats. Smaller replies carry an exact Content-Length.
+func (s *Server) writeSplit(w http.ResponseWriter, status int, r *splitReply) {
+	streamed := len(r.sched) > s.streamThreshold
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	if !streamed {
+		h["Content-Length"] = []string{strconv.Itoa(r.size())}
+	}
+	w.WriteHeader(status)
+	total, err := w.Write(r.prefix)
+	if f, ok := w.(http.Flusher); ok && streamed {
+		f.Flush()
+	}
+	if err == nil {
+		n, werr := w.Write(r.sched)
+		total += n
+		err = werr
+	}
+	if err == nil {
+		n, _ := io.WriteString(w, replySuffix)
+		total += n
+	}
+	if streamed {
+		s.streamed.Add(1)
+		s.streamBytes.Add(uint64(total))
+	}
+}
+
+// renderHitBody returns the plan's memoized cache-hit wire bytes. The
+// fast lane: every field of the hit response is a pure function of
+// (plan, loop name), so the wire bytes are memoized on the plan itself
+// — joined from the split reply on the first hit, invalidated when a
+// measured annotation lands, byte-identical across repeat hits.
+func renderHitBody(plan *Plan, loop string) ([]byte, error) {
+	return plan.HitResponseBody(loop, func() ([]byte, error) {
+		r, err := splitScheduleReply(plan, loop, true, nil)
+		if err != nil {
+			return nil, err
+		}
+		body := make([]byte, 0, r.size())
+		body = append(body, r.prefix...)
+		body = append(body, r.sched...)
+		return append(body, replySuffix...), nil
+	})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -1457,13 +1431,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // written, and the reply carries an exact Content-Length.
 var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledRespBuf bounds what returns to the pool: a near-cap schedule
-// reply runs to tens of MB, and parking buffers that size in the pool
-// would pin the worst response ever served as permanent ballast.
+// maxPooledRespBuf bounds what returns to the pool: a large batch or
+// tune reply would otherwise park its buffer in the pool as permanent
+// ballast.
 const maxPooledRespBuf = 1 << 20
 
-// writeJSON emits compact JSON: schedule replies embed up to hundreds of
-// thousands of placements, and indentation would multiply their size.
+// writeJSON emits compact JSON for every reply but a schedule: those are
+// built from their envelope split (see splitReply) and never pass
+// through an encoder.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := respBufPool.Get().(*bytes.Buffer)
 	buf.Reset()

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"sync"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // buildFig7Plan builds one uncached Figure 7 plan for store-level tests.
-func buildFig7Plan(t *testing.T, n int) (key string, p *Plan) {
+func buildFig7Plan(t testing.TB, n int) (key string, p *Plan) {
 	t.Helper()
 	g := workload.Figure7().Graph
 	plan, _, err := New(Config{DisableCache: true}).Schedule(g, fig7Opts, n)
@@ -145,31 +146,52 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// planCorruptions are record mutations DecodePlan must reject, applied
+// to an encoded Figure 7 plan at 10 iterations.
+var planCorruptions = map[string]func([]byte) []byte{
+	"truncated":    func(b []byte) []byte { return b[:len(b)/2] },
+	"not json":     func(b []byte) []byte { return []byte("not a record") },
+	"wrong format": func(b []byte) []byte { return bytes.Replace(b, []byte("mimdloop/plan"), []byte("other/format"), 1) },
+	"wrong version": func(b []byte) []byte {
+		return bytes.Replace(b, []byte(`"version":4`), []byte(`"version":99`), 1)
+	},
+	"key mismatch": func(b []byte) []byte {
+		// Change the recorded iteration count without re-deriving the
+		// key: the ingredients check must catch the inconsistency.
+		return bytes.Replace(b, []byte(`"iterations":10`), []byte(`"iterations":11`), 1)
+	},
+	"schedule tampered under intact header": func(b []byte) []byte {
+		// Rename a node inside the embedded schedule only: the
+		// re-derived graph fingerprint must contradict GraphHash.
+		return bytes.Replace(b, []byte(`"name":"A"`), []byte(`"name":"Z"`), 1)
+	},
+	// Indices outside the 5-node graph would panic the first evaluation
+	// that ran the plan (index out of range [99]).
+	"program names node 99": func(b []byte) []byte {
+		return firstMatch(b, regexp.MustCompile(`"Kind":0,"Node":\d+`), `"Kind":0,"Node":99`)
+	},
+	"placement names node 99": func(b []byte) []byte {
+		return firstMatch(b, regexp.MustCompile(`\{"node":\d+`), `{"node":99`)
+	},
+	// Iteration 10 of a 10-iteration plan: the goroutine runtime's
+	// chunked send would size its value block negative.
+	"instruction past the last iteration": func(b []byte) []byte {
+		return firstMatch(b, regexp.MustCompile(`"Kind":0,"Node":\d+,"Iter":\d+`), `"Kind":0,"Node":0,"Iter":10`)
+	},
+}
+
 func TestPlanCodecRejectsCorruption(t *testing.T) {
 	_, plan := buildFig7Plan(t, 10)
 	data, err := EncodePlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mutate := range map[string]func([]byte) []byte{
-		"truncated":    func(b []byte) []byte { return b[:len(b)/2] },
-		"not json":     func(b []byte) []byte { return []byte("not a record") },
-		"wrong format": func(b []byte) []byte { return bytes.Replace(b, []byte("mimdloop/plan"), []byte("other/format"), 1) },
-		"wrong version": func(b []byte) []byte {
-			return bytes.Replace(b, []byte(`"version":4`), []byte(`"version":99`), 1)
-		},
-		"key mismatch": func(b []byte) []byte {
-			// Change the recorded iteration count without re-deriving the
-			// key: the ingredients check must catch the inconsistency.
-			return bytes.Replace(b, []byte(`"iterations":10`), []byte(`"iterations":11`), 1)
-		},
-		"schedule tampered under intact header": func(b []byte) []byte {
-			// Rename a node inside the embedded schedule only: the
-			// re-derived graph fingerprint must contradict GraphHash.
-			return bytes.Replace(b, []byte(`"name":"A"`), []byte(`"name":"Z"`), 1)
-		},
-	} {
-		if _, _, err := DecodePlan(mutate(append([]byte(nil), data...))); err == nil {
+	for name, mutate := range planCorruptions {
+		bad := mutate(append([]byte(nil), data...))
+		if bytes.Equal(bad, data) {
+			t.Errorf("%s mutation left the record unchanged", name)
+		}
+		if _, _, err := DecodePlan(bad); err == nil {
 			t.Errorf("%s record decoded without error", name)
 		}
 	}

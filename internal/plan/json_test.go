@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -46,5 +47,68 @@ func TestScheduleJSONRejectsCorruptGraph(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte("{"), &back); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+}
+
+// TestScheduleDecodeBoundsPlacements: decoding refuses placements
+// outside the bounds Validate applies, so accessors that index the graph
+// or the processors by a decoded placement cannot go out of range.
+func TestScheduleDecodeBoundsPlacements(t *testing.T) {
+	s := Sequential(chainGraph(t), Timing{CommCost: 1}, 2)
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := `{"node":0,"iter":0,"proc":0,"start":0}`
+	if !strings.Contains(string(data), first) {
+		t.Fatalf("no first placement in %s", data)
+	}
+	for name, bad := range map[string]string{
+		"node 2 of 2":     `{"node":2,"iter":0,"proc":0,"start":0}`,
+		"negative node":   `{"node":-1,"iter":0,"proc":0,"start":0}`,
+		"negative iter":   `{"node":0,"iter":-1,"proc":0,"start":0}`,
+		"negative proc":   `{"node":0,"iter":0,"proc":-1,"start":0}`,
+		"negative start":  `{"node":0,"iter":0,"proc":0,"start":-1}`,
+		"proc 1 of 1":     `{"node":0,"iter":0,"proc":1,"start":0}`,
+		"fractional iter": `{"node":0,"iter":0.5,"proc":0,"start":0}`,
+	} {
+		var back Schedule
+		if err := json.Unmarshal([]byte(strings.Replace(string(data), first, bad, 1)), &back); err == nil {
+			t.Errorf("%s: schedule decoded", name)
+		}
+	}
+	// ByProc sizes its result by the processor count.
+	var back Schedule
+	if err := json.Unmarshal([]byte(strings.Replace(string(data), `"processors":1`, `"processors":-1`, 1)), &back); err == nil {
+		t.Error("negative processor count decoded")
+	}
+}
+
+// TestScheduleDecodeLayout: any key order and whitespace decode to the
+// same schedule, which renders back to the canonical bytes.
+func TestScheduleDecodeLayout(t *testing.T) {
+	s := Sequential(chainGraph(t), Timing{CommCost: 2, CommFromStart: true}, 3)
+	data, err := s.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := json.MarshalIndent(fields, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Schedule
+	if err := back.UnmarshalJSON(sorted); err != nil {
+		t.Fatal(err)
+	}
+	again, err := back.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, data) {
+		t.Fatalf("re-rendered schedule differs:\n got %s\nwant %s", again, data)
 	}
 }

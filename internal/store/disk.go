@@ -8,6 +8,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -46,11 +47,13 @@ type DiskConfig struct {
 }
 
 // DiskStore is a durable PlanStore: content-addressed plan records on a
-// local filesystem. It is safe for concurrent use by one process; the
-// lock is deliberately coarse (one mutex across index and file IO)
-// because the disk tier sits behind a sharded memory tier in every
-// serving configuration — it sees cold misses and write-throughs, never
-// the hot path.
+// local filesystem. It is safe for concurrent use by one process. One
+// mutex guards the index and its aggregates, and the only file
+// operations under it are the cheap namespace ones — rename, remove,
+// open — that must agree with the index. Reading and decoding a record,
+// and encoding, writing and syncing one, run outside it, so a disk read
+// never waits behind another read's decode or a write's fsync: the tier
+// serves every memory miss, and parallel warm-up, of a restarted server.
 type DiskStore struct {
 	dir      string
 	maxBytes int64
@@ -58,8 +61,8 @@ type DiskStore struct {
 	mu    sync.Mutex
 	index map[string]*diskEntry // file base name -> entry
 	bytes int64
-	// counters are guarded by mu too: the store is cold-path only, and
-	// one lock keeps the index and its aggregates trivially consistent.
+	// counters are guarded by mu too: one lock keeps the index and its
+	// aggregates trivially consistent, and is held only for bookkeeping.
 	hits, misses, puts, evictions, errors uint64
 }
 
@@ -123,33 +126,67 @@ func fileName(key string) string {
 // to decode — torn write survived by a crash, format drift, manual
 // corruption — is quarantined and reported as a miss, so one bad file
 // can never take the store down or poison a key forever.
+//
+// The file is read and decoded outside the lock. If the index entry
+// changed meanwhile (a Put replaced the record, or a Delete or GC
+// removed it), a failed read or decode is a plain miss: only the entry
+// that was read is ever dropped or quarantined.
 func (d *DiskStore) Get(key string) (*pipeline.Plan, bool) {
 	name := fileName(key)
+	e, ok := d.lookup(name)
+	if !ok {
+		return nil, false
+	}
+	data, readErr := os.ReadFile(filepath.Join(d.dir, name))
+	var plan *pipeline.Plan
+	var decodeErr error
+	if readErr == nil {
+		var gotKey string
+		gotKey, plan, decodeErr = pipeline.DecodePlan(data)
+		if decodeErr == nil && gotKey != key {
+			decodeErr = fmt.Errorf("record key %q does not match requested key %q", gotKey, key)
+		}
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	e, ok := d.index[name]
-	if !ok {
+	current := d.index[name] == e
+	switch {
+	case readErr != nil:
 		d.misses++
+		if current {
+			// The index is stale (file removed behind our back): drop it.
+			d.dropLocked(name, e)
+			d.errors++
+		}
 		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(d.dir, name))
-	if err != nil {
-		// The index is stale (file removed behind our back): drop it.
-		delete(d.index, name)
-		d.bytes -= e.size
+	case decodeErr != nil:
 		d.misses++
-		d.errors++
-		return nil, false
-	}
-	gotKey, plan, err := pipeline.DecodePlan(data)
-	if err != nil || gotKey != key {
-		d.quarantineLocked(name, e)
-		d.misses++
+		if current {
+			d.quarantineLocked(name, e)
+		}
 		return nil, false
 	}
 	e.used = time.Now()
 	d.hits++
 	return plan, true
+}
+
+// lookup returns the index entry for a record file, counting a miss when
+// there is none.
+func (d *DiskStore) lookup(name string) (*diskEntry, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, ok := d.index[name]
+	if !ok {
+		d.misses++
+	}
+	return e, ok
+}
+
+// dropLocked removes a record from the index. Caller holds d.mu.
+func (d *DiskStore) dropLocked(name string, e *diskEntry) {
+	delete(d.index, name)
+	d.bytes -= e.size
 }
 
 // OpenRecord opens the raw encoded record stored under key, returning
@@ -159,7 +196,9 @@ func (d *DiskStore) Get(key string) (*pipeline.Plan, bool) {
 // decoding and re-encoding the plan through a record-sized buffer. The
 // caller owns the returned reader; the open file stays valid even if
 // the record is GC'd or replaced mid-stream (the rename/remove unlinks
-// the name, not the open handle).
+// the name, not the open handle). The open runs under the lock, like
+// the rename that installs a record, so the size returned is the opened
+// file's and never that of a record replaced in between.
 func (d *DiskStore) OpenRecord(key string) (io.ReadCloser, int64, error) {
 	name := fileName(key)
 	d.mu.Lock()
@@ -172,8 +211,7 @@ func (d *DiskStore) OpenRecord(key string) (io.ReadCloser, int64, error) {
 	f, err := os.Open(filepath.Join(d.dir, name))
 	if err != nil {
 		// The index is stale (file removed behind our back): drop it.
-		delete(d.index, name)
-		d.bytes -= e.size
+		d.dropLocked(name, e)
 		d.misses++
 		d.errors++
 		return nil, 0, fmt.Errorf("store: %w", err)
@@ -193,55 +231,68 @@ func (d *DiskStore) OpenRecord(key string) (io.ReadCloser, int64, error) {
 // back for the caller to serve. An invalid or mismatched record never
 // enters the store.
 func (d *DiskStore) PutRecord(key string, r io.Reader) (*pipeline.Plan, error) {
-	tmp, err := os.CreateTemp(d.dir, tmpPrefix+"*")
-	if err != nil {
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	size, werr := io.Copy(tmp, r)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
+	tmp, size, err := d.writeTemp(r)
 	var data []byte
-	if werr == nil {
+	if err == nil {
 		// Validation needs the whole record once (decode is not
 		// streamable); os.ReadFile sizes its buffer from the file, so
-		// this is one exact-size allocation that dies with this call —
-		// unlike the pre-streaming path, which grew a wire buffer, kept
-		// the decode copy, and re-encoded a third for disk.
-		data, werr = os.ReadFile(tmp.Name())
+		// this is one exact-size allocation that dies with this call.
+		data, err = os.ReadFile(tmp)
 	}
-	if werr != nil {
-		_ = os.Remove(tmp.Name())
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
-		return nil, fmt.Errorf("store: %w", werr)
-	}
-	gotKey, plan, err := pipeline.DecodePlan(data)
-	if err == nil && gotKey != key {
-		err = fmt.Errorf("record key %q does not match requested key %q", gotKey, key)
+	var plan *pipeline.Plan
+	if err == nil {
+		var gotKey string
+		gotKey, plan, err = pipeline.DecodePlan(data)
+		if err == nil && gotKey != key {
+			err = fmt.Errorf("record key %q does not match requested key %q", gotKey, key)
+		}
 	}
 	if err != nil {
-		_ = os.Remove(tmp.Name())
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
+		if tmp != "" {
+			_ = os.Remove(tmp)
+		}
+		d.countError()
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	name := fileName(key)
+	if err := d.install(tmp, fileName(key), size); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return plan, nil
+}
+
+// writeTemp copies r into a new temp file in the store directory and
+// syncs it, without the lock. On failure the temp file is removed.
+func (d *DiskStore) writeTemp(r io.Reader) (tmp string, size int64, err error) {
+	f, err := os.CreateTemp(d.dir, tmpPrefix+"*")
+	if err != nil {
+		return "", 0, err
+	}
+	size, err = io.Copy(f, r)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(f.Name())
+		return "", 0, err
+	}
+	return f.Name(), size, nil
+}
+
+// install renames a synced temp file into place as the record file name
+// and indexes it, then trims the store to its budget — the namespace and
+// index half of a write, done together under the lock so readers see the
+// file and its entry change as one.
+func (d *DiskStore) install(tmp, name string, size int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.puts++
-	if err := os.Rename(tmp.Name(), filepath.Join(d.dir, name)); err != nil {
-		_ = os.Remove(tmp.Name())
+	if err := os.Rename(tmp, filepath.Join(d.dir, name)); err != nil {
+		_ = os.Remove(tmp)
 		d.errors++
-		return nil, fmt.Errorf("store: %w", err)
+		return err
 	}
 	if old, ok := d.index[name]; ok {
 		d.bytes -= old.size
@@ -249,7 +300,13 @@ func (d *DiskStore) PutRecord(key string, r io.Reader) (*pipeline.Plan, error) {
 	d.index[name] = &diskEntry{size: size, used: time.Now()}
 	d.bytes += size
 	d.gcLocked()
-	return plan, nil
+	return nil
+}
+
+func (d *DiskStore) countError() {
+	d.mu.Lock()
+	d.errors++
+	d.mu.Unlock()
 }
 
 // quarantineLocked moves a corrupt record aside and drops it from the
@@ -262,61 +319,32 @@ func (d *DiskStore) quarantineLocked(name string, e *diskEntry) {
 		// rather than serve corruption forever.
 		_ = os.Remove(filepath.Join(d.dir, name))
 	}
-	delete(d.index, name)
-	d.bytes -= e.size
+	d.dropLocked(name, e)
 }
 
 // Put encodes and durably stores p under key: the record is written to a
-// temp file in the store directory, synced, and renamed into place, so
-// concurrent readers and crash-interrupted writes observe either the old
-// record or the new one — never a prefix.
+// temp file in the store directory and synced, outside the lock, then
+// renamed into place, so concurrent readers and crash-interrupted writes
+// observe either the old record or the new one — never a prefix.
 func (d *DiskStore) Put(key string, p *pipeline.Plan) {
 	if pipeline.PlanKey(p.GraphHash, p.Opts, p.Iterations) != key {
 		// An aliased key could never be answered consistently after a
 		// restart (records are verified against their ingredients), so
 		// decline it rather than persist a lie.
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
+		d.countError()
 		return
 	}
 	data, err := pipeline.EncodePlan(p)
 	if err != nil {
-		d.mu.Lock()
-		d.errors++
-		d.mu.Unlock()
+		d.countError()
 		return
 	}
-	name := fileName(key)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.puts++
-	tmp, err := os.CreateTemp(d.dir, tmpPrefix+"*")
+	tmp, size, err := d.writeTemp(bytes.NewReader(data))
 	if err != nil {
-		d.errors++
+		d.countError()
 		return
 	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), filepath.Join(d.dir, name))
-	}
-	if werr != nil {
-		_ = os.Remove(tmp.Name())
-		d.errors++
-		return
-	}
-	if old, ok := d.index[name]; ok {
-		d.bytes -= old.size
-	}
-	d.index[name] = &diskEntry{size: int64(len(data)), used: time.Now()}
-	d.bytes += int64(len(data))
-	d.gcLocked()
+	_ = d.install(tmp, fileName(key), size)
 }
 
 // Delete removes the record stored under key, if any.
@@ -326,8 +354,7 @@ func (d *DiskStore) Delete(key string) {
 	defer d.mu.Unlock()
 	if e, ok := d.index[name]; ok {
 		_ = os.Remove(filepath.Join(d.dir, name))
-		delete(d.index, name)
-		d.bytes -= e.size
+		d.dropLocked(name, e)
 	}
 }
 
@@ -435,12 +462,12 @@ func (d *DiskStore) Stats() pipeline.StoreStats {
 func (d *DiskStore) Plans() []pipeline.PlanInfo {
 	type snap struct {
 		name string
-		size int64
+		e    *diskEntry
 	}
 	d.mu.Lock()
 	snaps := make([]snap, 0, len(d.index))
 	for name, e := range d.index {
-		snaps = append(snaps, snap{name, e.size})
+		snaps = append(snaps, snap{name, e})
 	}
 	d.mu.Unlock()
 	sort.Slice(snaps, func(a, b int) bool { return snaps[a].name < snaps[b].name })
@@ -456,8 +483,8 @@ func (d *DiskStore) Plans() []pipeline.PlanInfo {
 		key, plan, err := pipeline.DecodePlan(data)
 		if err != nil {
 			d.mu.Lock()
-			if e, ok := d.index[s.name]; ok {
-				d.quarantineLocked(s.name, e)
+			if d.index[s.name] == s.e {
+				d.quarantineLocked(s.name, s.e)
 			}
 			d.mu.Unlock()
 			continue
@@ -470,7 +497,7 @@ func (d *DiskStore) Plans() []pipeline.PlanInfo {
 			Rate:       plan.Rate(),
 			Procs:      plan.Procs(),
 			Makespan:   plan.Makespan(),
-			Bytes:      s.size,
+			Bytes:      int64(len(data)),
 		})
 	}
 	return out
