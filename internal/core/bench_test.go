@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mimdloop/internal/graph"
+	"mimdloop/internal/workload"
 )
 
 // benchGraph builds a connected cyclic graph of n nodes: a ring of
@@ -103,4 +104,32 @@ func BenchmarkTimeline(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestScheduleLoopAllocs pins the allocation count of scheduling the plan
+// BenchmarkServeCold serves: the first Table 1 loop for 250 iterations at
+// k = 2 on sufficient processors, 3,000 placements. With instances in
+// hash maps keyed by graph.InstanceID (Cyclic-sched, GreedyN and
+// composition) and placement lists grown by append, ScheduleLoop made
+// 3,226 allocations here; with dense instance tables and pre-sized
+// placement lists it makes 2,832. Most of the rest are ready-queue
+// entries, pattern-detector windows and the component subgraphs.
+func TestScheduleLoopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under -race")
+	}
+	suite, err := workload.Suite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ScheduleLoop(suite[0], Options{CommCost: 2}, 250); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 3000 // measured 2,832; the map-based scheduler made 3,226
+	t.Logf("%.0f allocs (budget %d)", allocs, budget)
+	if allocs > budget {
+		t.Fatalf("ScheduleLoop allocates %.0f times, over the budget of %d", allocs, budget)
+	}
 }

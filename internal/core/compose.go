@@ -277,38 +277,33 @@ func composeVariant(ls *LoopSchedule, cycPlan *plan.Schedule, n int, fold bool) 
 	// current Cyclic offset, compute the residual delay, shift, retry.
 	shift := 0
 	for attempt := 0; ; attempt++ {
-		sched := &plan.Schedule{Graph: g, Timing: cycPlan.Timing, Processors: totalProcs}
-		idx := make(map[graph.InstanceID]int)
-		lines := make(map[int]*timeline)
+		sched := &plan.Schedule{Graph: g, Timing: cycPlan.Timing, Processors: totalProcs, Placements: make([]plan.Placement, 0, n*g.N())}
+		idx := plan.NewTable(g.N(), n) // instance -> placement index
+		lines := make([]timeline, totalProcs)
 
 		// Cyclic placements, mapped to original IDs, shifted.
 		for _, pl := range cycPlan.Placements {
 			orig := back[pl.Node]
 			npl := plan.Placement{Node: orig, Iter: pl.Iter, Proc: pl.Proc, Start: pl.Start + shift}
-			idx[npl.Key()] = len(sched.Placements)
+			idx.Set(orig, pl.Iter, len(sched.Placements))
 			sched.Placements = append(sched.Placements, npl)
-			tl := lines[npl.Proc]
-			if tl == nil {
-				tl = &timeline{}
-				lines[npl.Proc] = tl
-			}
-			tl.insert(npl.Start, g.Nodes[orig].Latency)
+			lines[npl.Proc].insert(npl.Start, g.Nodes[orig].Latency)
 		}
 
 		// Flow-in.
 		if lIn > 0 {
 			var err error
 			if fold {
-				err = placeFlowSet(sched, idx, lines, class.FlowIn, n, 0, 0, foldPick)
+				err = placeFlowSet(sched, &idx, lines, class.FlowIn, n, 0, 0, foldPick)
 			} else {
-				err = placeFlowSet(sched, idx, lines, class.FlowIn, n, cyclicProcs, pIn, nil)
+				err = placeFlowSet(sched, &idx, lines, class.FlowIn, n, cyclicProcs, pIn, nil)
 			}
 			if err != nil {
 				return nil, err
 			}
 		}
 
-		d := flowInDelay(sched, idx, class)
+		d := flowInDelay(sched, &idx, class)
 		if d > 0 {
 			shift += d
 			if attempt >= 8 {
@@ -321,9 +316,9 @@ func composeVariant(ls *LoopSchedule, cycPlan *plan.Schedule, n int, fold bool) 
 		if lOut > 0 {
 			var err error
 			if fold {
-				err = placeFlowSet(sched, idx, lines, class.FlowOut, n, 0, 0, foldPick)
+				err = placeFlowSet(sched, &idx, lines, class.FlowOut, n, 0, 0, foldPick)
 			} else {
-				err = placeFlowSet(sched, idx, lines, class.FlowOut, n, cyclicProcs+pIn, pOut, nil)
+				err = placeFlowSet(sched, &idx, lines, class.FlowOut, n, cyclicProcs+pIn, pOut, nil)
 			}
 			if err != nil {
 				return nil, err

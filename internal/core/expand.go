@@ -44,6 +44,7 @@ func (r *CyclicResult) expandOnce(n int) (*plan.Schedule, error) {
 		Graph:      g,
 		Timing:     r.Greedy.Timing,
 		Processors: r.Greedy.Processors,
+		Placements: make([]plan.Placement, 0, n*g.N()),
 	}
 	if !p.Forced {
 		for _, pl := range r.Greedy.Placements {
@@ -99,12 +100,12 @@ func GreedyN(g *graph.Graph, opts Options, n int) (*plan.Schedule, error) {
 	}
 	opts = opts.withDefaults(g)
 	timing := plan.Timing{CommCost: opts.CommCost, CommFromStart: opts.CommFromStart}
-	out := &plan.Schedule{Graph: g, Timing: timing, Processors: opts.Processors}
+	out := &plan.Schedule{Graph: g, Timing: timing, Processors: opts.Processors, Placements: make([]plan.Placement, 0, n*g.N())}
 
 	rank := g.BodyRank()
 	procs := make([]timeline, opts.Processors)
-	placed := make(map[graph.InstanceID]int)
-	pending := make(map[graph.InstanceID]int)
+	placed := plan.NewTable(g.N(), n)  // instance -> placement index
+	pending := plan.NewTable(g.N(), n) // instance -> predecessors left to place
 	queue := &readyQueue{fifo: opts.FIFOOrder}
 	gate := newDriftGate(opts.DriftBound, g.N())
 	for v := 0; v < g.N(); v++ {
@@ -141,7 +142,7 @@ func GreedyN(g *graph.Graph, opts Options, n int) (*plan.Schedule, error) {
 				if srcIter < 0 {
 					continue
 				}
-				pl := out.Placements[placed[graph.InstanceID{Node: e.From, Iter: srcIter}]]
+				pl := out.Placements[placed.Get(e.From, srcIter)]
 				if a := timing.Avail(pl, g.Nodes[pl.Node].Latency, e, q); a > ready {
 					ready = a
 				}
@@ -152,7 +153,7 @@ func GreedyN(g *graph.Graph, opts Options, n int) (*plan.Schedule, error) {
 			}
 		}
 		pl := plan.Placement{Node: v, Iter: iter, Proc: bestProc, Start: bestStart}
-		placed[pl.Key()] = len(out.Placements)
+		placed.Set(v, iter, len(out.Placements))
 		out.Placements = append(out.Placements, pl)
 		procs[bestProc].insert(bestStart, lat)
 		for _, rel := range gate.record(iter, bestStart+lat) {
@@ -160,21 +161,19 @@ func GreedyN(g *graph.Graph, opts Options, n int) (*plan.Schedule, error) {
 		}
 		for _, ei := range g.Out(v) {
 			e := g.Edges[ei]
-			child := graph.InstanceID{Node: e.To, Iter: iter + e.Distance}
-			if child.Iter >= n {
+			child, childIter := e.To, iter+e.Distance
+			if childIter >= n {
 				continue
 			}
-			left, seen := pending[child]
-			if !seen {
-				left = g.InstancePredCount(e.To, child.Iter)
+			left := pending.Get(child, childIter)
+			if left < 0 {
+				left = g.InstancePredCount(child, childIter)
 			}
 			left--
 			if left == 0 {
-				delete(pending, child)
-				queue.add(readyEntry{node: child.Node, iter: child.Iter, rank: rank[child.Node]})
-			} else {
-				pending[child] = left
+				queue.add(readyEntry{node: child, iter: childIter, rank: rank[child]})
 			}
+			pending.Set(child, childIter, left)
 		}
 		if len(g.In(v)) == 0 && iter+1 < n {
 			queue.add(readyEntry{node: v, iter: iter + 1, rank: rank[v]})

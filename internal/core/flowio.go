@@ -42,11 +42,12 @@ func flowProcessorCount(l, periodCycles, iterShift int) int {
 // is non-nil — on whichever of the listed processors can start each node
 // earliest (the Section 3 folding heuristic). Nodes within an iteration go
 // in body order; start times respect every already-placed predecessor under
-// the timing model. Placements are appended to sched and indexed in idx.
+// the timing model. Placements are appended to sched, indexed in idx, and
+// booked on lines (one timeline per processor).
 func placeFlowSet(
 	sched *plan.Schedule,
-	idx map[graph.InstanceID]int,
-	lines map[int]*timeline,
+	idx *plan.Table,
+	lines []timeline,
 	subset []int,
 	n, procBase, procCount int,
 	procPick []int,
@@ -54,10 +55,6 @@ func placeFlowSet(
 	g := sched.Graph
 	if len(subset) == 0 {
 		return nil
-	}
-	inSubset := make(map[int]bool, len(subset))
-	for _, v := range subset {
-		inSubset[v] = true
 	}
 	order := make([]int, 0, len(subset))
 	rank := g.BodyRank()
@@ -72,8 +69,8 @@ func placeFlowSet(
 			if srcIter < 0 {
 				continue
 			}
-			pi, ok := idx[graph.InstanceID{Node: e.From, Iter: srcIter}]
-			if !ok {
+			pi := idx.Get(e.From, srcIter)
+			if pi < 0 {
 				return 0, fmt.Errorf("core: flow placement of (%s, iter %d) before predecessor (%s, iter %d)",
 					g.Nodes[v].Name, iter, g.Nodes[e.From].Name, srcIter)
 			}
@@ -96,12 +93,7 @@ func placeFlowSet(
 					if err != nil {
 						return err
 					}
-					tl := lines[q]
-					if tl == nil {
-						tl = &timeline{}
-						lines[q] = tl
-					}
-					t := tl.fit(ready, lat, false)
+					t := lines[q].fit(ready, lat, false)
 					if proc == -1 || t < start {
 						proc, start = q, t
 					}
@@ -112,18 +104,11 @@ func placeFlowSet(
 				if err != nil {
 					return err
 				}
-				tl := lines[proc]
-				if tl == nil {
-					tl = &timeline{}
-					lines[proc] = tl
-				}
-				start = tl.fit(ready, lat, false)
+				start = lines[proc].fit(ready, lat, false)
 			}
 			lines[proc].insert(start, lat)
-			pl := plan.Placement{Node: v, Iter: iter, Proc: proc, Start: start}
-			idx[pl.Key()] = len(sched.Placements)
-			sched.Placements = append(sched.Placements, pl)
-			_ = inSubset
+			idx.Set(v, iter, len(sched.Placements))
+			sched.Placements = append(sched.Placements, plan.Placement{Node: v, Iter: iter, Proc: proc, Start: start})
 		}
 	}
 	return nil
@@ -132,7 +117,7 @@ func placeFlowSet(
 // flowInDelay computes how many cycles the already-placed Cyclic schedule
 // must be delayed so that every Cyclic consumer starts at or after the
 // availability of its Flow-in inputs. cyclicSet marks Cyclic node IDs.
-func flowInDelay(sched *plan.Schedule, idx map[graph.InstanceID]int, class *classify.Result) int {
+func flowInDelay(sched *plan.Schedule, idx *plan.Table, class *classify.Result) int {
 	g := sched.Graph
 	delay := 0
 	for _, pl := range sched.Placements {
@@ -148,8 +133,8 @@ func flowInDelay(sched *plan.Schedule, idx map[graph.InstanceID]int, class *clas
 			if srcIter < 0 {
 				continue
 			}
-			pi, ok := idx[graph.InstanceID{Node: e.From, Iter: srcIter}]
-			if !ok {
+			pi := idx.Get(e.From, srcIter)
+			if pi < 0 {
 				continue
 			}
 			prod := sched.Placements[pi]

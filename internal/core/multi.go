@@ -108,6 +108,7 @@ func (m *MultiResult) Expand(n int) (*plan.Schedule, error) {
 		Graph:      m.Graph,
 		Timing:     plan.Timing{CommCost: m.Opts.CommCost, CommFromStart: m.Opts.CommFromStart},
 		Processors: m.Processors,
+		Placements: make([]plan.Placement, 0, n*m.Graph.N()),
 	}
 	for _, c := range m.Components {
 		part, err := c.Result.Expand(n)

@@ -81,14 +81,14 @@ func CyclicSched(g *graph.Graph, opts Options) (*CyclicResult, error) {
 	rank := g.BodyRank()
 	procs := make([]timeline, opts.Processors)
 	det := pattern.NewDetector(opts.Processors, opts.WindowHeight)
-	placed := make(map[graph.InstanceID]int) // instance -> placement index
+	placed := plan.NewTable(g.N(), 0) // instance -> placement index
 	// Sticky placement state (chunk graphs only): the processor that ran
 	// each node's most recent iteration. See Options.chunkLocality.
 	var lastProc map[int]int
 	if opts.chunkLocality {
 		lastProc = make(map[int]int, g.N())
 	}
-	pending := make(map[graph.InstanceID]int)
+	pending := plan.NewTable(g.N(), 0) // instance -> predecessors left to place
 	queue := &readyQueue{fifo: opts.FIFOOrder}
 	gate := newDriftGate(opts.DriftBound, g.N())
 
@@ -149,15 +149,14 @@ func CyclicSched(g *graph.Graph, opts Options) (*CyclicResult, error) {
 					if srcIter < 0 {
 						continue
 					}
-					pi := placed[graph.InstanceID{Node: e.From, Iter: srcIter}]
+					pi := placed.Get(e.From, srcIter)
 					if a := availOn(res.Greedy.Placements[pi], e, q); a > ready {
 						ready = a
 					}
 				}
 			} else if iter > 0 {
 				// Implicit self-ordering for predecessor-free nodes.
-				pi := placed[graph.InstanceID{Node: v, Iter: iter - 1}]
-				prev := res.Greedy.Placements[pi]
+				prev := res.Greedy.Placements[placed.Get(v, iter-1)]
 				if fin := prev.Start + lat; fin > ready {
 					ready = fin
 				}
@@ -182,7 +181,7 @@ func CyclicSched(g *graph.Graph, opts Options) (*CyclicResult, error) {
 		pl := plan.Placement{Node: v, Iter: iter, Proc: bestProc, Start: bestStart}
 		pi := len(res.Greedy.Placements)
 		res.Greedy.Placements = append(res.Greedy.Placements, pl)
-		placed[pl.Key()] = pi
+		placed.Set(v, iter, pi)
 		if lastProc != nil {
 			lastProc[v] = bestProc
 		}
@@ -192,26 +191,25 @@ func CyclicSched(g *graph.Graph, opts Options) (*CyclicResult, error) {
 			queue.add(rel)
 		}
 
-		// Wake successors.
+		// Wake successors. A released instance is never woken again, so
+		// its count may stay at 0.
 		for _, ei := range g.Out(v) {
 			e := g.Edges[ei]
-			child := graph.InstanceID{Node: e.To, Iter: iter + e.Distance}
-			left, seen := pending[child]
-			if !seen {
-				left = g.InstancePredCount(e.To, child.Iter)
+			child, childIter := e.To, iter+e.Distance
+			left := pending.Get(child, childIter)
+			if left < 0 {
+				left = g.InstancePredCount(child, childIter)
 			}
 			left--
 			if left == 0 {
-				delete(pending, child)
 				queue.add(readyEntry{
-					node:  child.Node,
-					iter:  child.Iter,
-					rank:  rank[child.Node],
-					lower: lowerBound(g, res.Greedy.Placements, placed, child),
+					node:  child,
+					iter:  childIter,
+					rank:  rank[child],
+					lower: lowerBound(g, res.Greedy.Placements, &placed, child, childIter),
 				})
-			} else {
-				pending[child] = left
 			}
+			pending.Set(child, childIter, left)
 		}
 		if len(g.In(v)) == 0 {
 			// Implicit self-ordering seeding.
@@ -232,18 +230,18 @@ func CyclicSched(g *graph.Graph, opts Options) (*CyclicResult, error) {
 	return res, fmt.Errorf("%w (ready queue drained after %d placements)", ErrNoPattern, len(res.Greedy.Placements))
 }
 
-// lowerBound returns the cheapest possible start of an unplaced instance:
-// the latest local finish among its placed predecessors (cross-processor
-// availability can only be later).
-func lowerBound(g *graph.Graph, pls []plan.Placement, placed map[graph.InstanceID]int, inst graph.InstanceID) int {
+// lowerBound returns the cheapest possible start of unplaced instance
+// (v, iter): the latest local finish among its placed predecessors
+// (cross-processor availability can only be later).
+func lowerBound(g *graph.Graph, pls []plan.Placement, placed *plan.Table, v, iter int) int {
 	lb := 0
-	for _, ei := range g.In(inst.Node) {
+	for _, ei := range g.In(v) {
 		e := g.Edges[ei]
-		srcIter := inst.Iter - e.Distance
+		srcIter := iter - e.Distance
 		if srcIter < 0 {
 			continue
 		}
-		pl := pls[placed[graph.InstanceID{Node: e.From, Iter: srcIter}]]
+		pl := pls[placed.Get(e.From, srcIter)]
 		if fin := pl.Start + g.Nodes[pl.Node].Latency; fin > lb {
 			lb = fin
 		}

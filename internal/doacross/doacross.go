@@ -107,8 +107,8 @@ func Schedule(g *graph.Graph, opts Options, n int) (*Result, error) {
 // each starting as soon as its processor is free and its dependences are
 // available under the timing model.
 func buildFixed(g *graph.Graph, timing plan.Timing, order []int, p, n int) *plan.Schedule {
-	s := &plan.Schedule{Graph: g, Timing: timing, Processors: p}
-	idx := make(map[graph.InstanceID]int, n*g.N())
+	s := &plan.Schedule{Graph: g, Timing: timing, Processors: p, Placements: make([]plan.Placement, 0, n*g.N())}
+	idx := plan.NewTable(g.N(), n) // instance -> placement index
 	clock := make([]int, p)
 	for iter := 0; iter < n; iter++ {
 		proc := iter % p
@@ -120,13 +120,13 @@ func buildFixed(g *graph.Graph, timing plan.Timing, order []int, p, n int) *plan
 				if srcIter < 0 {
 					continue
 				}
-				prod := s.Placements[idx[graph.InstanceID{Node: e.From, Iter: srcIter}]]
+				prod := s.Placements[idx.Get(e.From, srcIter)]
 				if a := timing.Avail(prod, g.Nodes[prod.Node].Latency, e, proc); a > start {
 					start = a
 				}
 			}
 			pl := plan.Placement{Node: v, Iter: iter, Proc: proc, Start: start}
-			idx[pl.Key()] = len(s.Placements)
+			idx.Set(v, iter, len(s.Placements))
 			s.Placements = append(s.Placements, pl)
 			clock[proc] = start + g.Nodes[v].Latency
 		}

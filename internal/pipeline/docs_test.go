@@ -308,3 +308,28 @@ func TestArchitectureDocCoversPlanWirePath(t *testing.T) {
 		t.Error("docs/ARCHITECTURE.md still justifies the disk lock by the tier only seeing memory misses")
 	}
 }
+
+// TestArchitectureDocCoversInstanceTables pins the "Instance tables"
+// paragraph of the "Stage diagram" section of docs/ARCHITECTURE.md to
+// the design it documents: the one dense (iteration, node) table, the
+// absence of instance and message hash maps between classify and
+// lowering, the sparse bound, and the references and tests that hold
+// the output byte-identical.
+func TestArchitectureDocCoversInstanceTables(t *testing.T) {
+	data, err := os.ReadFile("../../docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatalf("docs/ARCHITECTURE.md must exist: %v", err)
+	}
+	doc := string(data)
+	stage := doc[strings.Index(doc, "## Stage diagram"):strings.Index(doc, "## Cache-key derivation")]
+	for _, fragment := range []string{
+		"**Instance tables.**", "plan.Table", "iter*N + node", "grow on `Set`",
+		"graph.InstanceID", "program.MsgKey", "one instruction", "plan.ErrSparse",
+		"max(8·placements, 1<<20)", "ref_test.go", "TestScheduleAndLowerDigest",
+		"FuzzValidateSchedule",
+	} {
+		if !strings.Contains(stage, fragment) {
+			t.Errorf("the stage diagram section of docs/ARCHITECTURE.md does not cover the instance-table fragment %q", fragment)
+		}
+	}
+}

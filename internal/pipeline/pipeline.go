@@ -308,6 +308,11 @@ type compiledEntry struct {
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
+	// landed counts completed flights, bumped under mu as each call is
+	// removed. A caller reads it before probing the store; if it moved
+	// by the time the caller starts a flight, a flight that finished in
+	// between may have stored the key after the probe missed.
+	landed atomic.Uint64
 }
 
 type flightCall struct {
@@ -318,7 +323,10 @@ type flightCall struct {
 
 // do runs fn once per key among concurrent callers; late arrivals block
 // until the in-flight computation completes and share its outcome.
-func (g *flightGroup) do(key string, fn func() (*Plan, error)) (*Plan, error) {
+// landed is the completion count the caller read before its store probe:
+// fn's argument reports that a flight has completed since, so the store
+// should be probed again before computing.
+func (g *flightGroup) do(key string, landed uint64, fn func(recheck bool) (*Plan, error)) (*Plan, error) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = make(map[string]*flightCall)
@@ -330,13 +338,15 @@ func (g *flightGroup) do(key string, fn func() (*Plan, error)) (*Plan, error) {
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.calls[key] = c
+	recheck := g.landed.Load() != landed
 	g.mu.Unlock()
 
-	c.plan, c.err = fn()
+	c.plan, c.err = fn(recheck)
 	close(c.done)
 
 	g.mu.Lock()
 	delete(g.calls, key)
+	g.landed.Add(1)
 	g.mu.Unlock()
 	return c.plan, c.err
 }
@@ -464,6 +474,7 @@ func (p *Pipeline) Schedule(g *graph.Graph, opts core.Options, n int) (*Plan, bo
 		return plan, false, err
 	}
 	key := PlanKey(hash, opts, n)
+	landed := p.flight.landed.Load()
 	if plan, ok := p.store.Get(key); ok {
 		p.hits.Add(1)
 		return plan, true, nil
@@ -471,8 +482,15 @@ func (p *Pipeline) Schedule(g *graph.Graph, opts core.Options, n int) (*Plan, bo
 	// Miss: compute (or piggyback on an identical in-flight computation)
 	// and write the result through the store. Either way the request
 	// waited the full scheduling latency, so both count as misses —
-	// reporting piggybacks as hits would flatter the counters.
-	plan, err := p.flight.do(key, func() (*Plan, error) {
+	// reporting piggybacks as hits would flatter the counters. A flight
+	// that landed after the probe above may have stored the key, so the
+	// store is probed again then; that late piggyback is a miss too.
+	plan, err := p.flight.do(key, landed, func(recheck bool) (*Plan, error) {
+		if recheck {
+			if plan, ok := p.store.Get(key); ok {
+				return plan, nil
+			}
+		}
 		p.computes.Add(1)
 		plan, err := build(g, hash, opts, n)
 		if err != nil {

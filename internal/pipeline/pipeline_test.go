@@ -60,6 +60,11 @@ func TestScheduleCacheHitMiss(t *testing.T) {
 	if s.Hits != 2 || s.Misses != 3 || s.Computes != 3 || s.Entries != 3 {
 		t.Fatalf("stats = %+v", s)
 	}
+	// Each uncontended cold miss probes the store once: no flight landed
+	// between its probe and its own flight, so it does not probe again.
+	if s.Store.Hits != 2 || s.Store.Misses != 3 {
+		t.Fatalf("store stats = %+v, want 2 hits and 3 misses", s.Store)
+	}
 	if got := s.HitRate(); got != 0.4 {
 		t.Fatalf("hit rate = %v, want 0.4", got)
 	}

@@ -6,8 +6,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mimdloop/internal/graph"
 )
@@ -119,46 +120,87 @@ func (s *Schedule) Iterations() int {
 // ProcsUsed returns the number of distinct processors with at least one
 // placement.
 func (s *Schedule) ProcsUsed() int {
-	seen := map[int]bool{}
+	seen := make([]uint64, s.procSpan()/64+1)
+	used := 0
 	for _, p := range s.Placements {
-		seen[p.Proc] = true
+		w, bit := p.Proc/64, uint64(1)<<(p.Proc%64)
+		if seen[w]&bit == 0 {
+			seen[w] |= bit
+			used++
+		}
 	}
-	return len(seen)
+	return used
+}
+
+// procSpan returns s.Processors, or the max proc index + 1 if larger.
+func (s *Schedule) procSpan() int {
+	n := s.Processors
+	for _, p := range s.Placements {
+		n = max(n, p.Proc+1)
+	}
+	return n
 }
 
 // ByProc returns placement indices grouped by processor, each group sorted
-// by start cycle. The outer slice has length s.Processors (or the max proc
-// index + 1 if larger).
+// by start cycle, then iteration, then node. The outer slice has length
+// s.Processors (or the max proc index + 1 if larger); the groups share
+// one backing array.
 func (s *Schedule) ByProc() [][]int {
-	n := s.Processors
+	out := make([][]int, s.procSpan())
+	counts := make([]int, len(out))
 	for _, p := range s.Placements {
-		if p.Proc+1 > n {
-			n = p.Proc + 1
+		counts[p.Proc]++
+	}
+	all := make([]int, 0, len(s.Placements))
+	for proc, c := range counts {
+		if c > 0 {
+			out[proc] = all[len(all) : len(all) : len(all)+c]
+			all = all[:len(all)+c]
 		}
 	}
-	out := make([][]int, n)
 	for i, p := range s.Placements {
 		out[p.Proc] = append(out[p.Proc], i)
 	}
 	for _, grp := range out {
-		sort.Slice(grp, func(a, b int) bool {
-			pa, pb := s.Placements[grp[a]], s.Placements[grp[b]]
-			if pa.Start != pb.Start {
-				return pa.Start < pb.Start
-			}
-			return pa.Iter < pb.Iter
-		})
+		slices.SortFunc(grp, func(a, b int) int { return byStart(&s.Placements[a], &s.Placements[b]) })
 	}
 	return out
 }
 
-// Index returns a map from instance to placement index.
-func (s *Schedule) Index() map[graph.InstanceID]int {
-	idx := make(map[graph.InstanceID]int, len(s.Placements))
-	for i, p := range s.Placements {
-		idx[p.Key()] = i
+// byStart orders placements by start cycle, then iteration, then node: a
+// total order on the placements of one processor.
+func byStart(a, b *Placement) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
 	}
-	return idx
+	if c := cmp.Compare(a.Iter, b.Iter); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Node, b.Node)
+}
+
+// Index returns the instance table of the placements: Get(node, iter) is
+// the index of the placement of (node, iter), or -1 when it is unplaced.
+// A twice-placed instance indexes its last placement. It fails on a
+// placement outside the effective graph or at a negative iteration, and
+// on a schedule too sparse to index (ErrSparse).
+func (s *Schedule) Index() (Table, error) {
+	n := s.EffectiveGraph().N()
+	maxIter := -1
+	for i, p := range s.Placements {
+		if p.Node < 0 || p.Node >= n || p.Iter < 0 {
+			return Table{}, fmt.Errorf("plan: placement %d is not an instance (node %d, iter %d)", i, p.Node, p.Iter)
+		}
+		maxIter = max(maxIter, p.Iter)
+	}
+	if err := checkSpan(n, maxIter, len(s.Placements)); err != nil {
+		return Table{}, err
+	}
+	idx := NewTable(n, maxIter+1)
+	for i, p := range s.Placements {
+		idx.Set(p.Node, p.Iter, i)
+	}
+	return idx, nil
 }
 
 // BusyCycles returns the total number of processor-cycles spent computing.
@@ -194,39 +236,69 @@ func (s *Schedule) Utilization() float64 {
 // It returns nil if the schedule is valid. Grain-G schedules validate
 // against the chunk graph: placements are chunk instances and the
 // dependences checked are the chunk-boundary ones.
+//
+// Instances are indexed in a Table, so a schedule whose placements span
+// too many iterations for their number is refused (ErrSparse) before
+// anything proportional to that span is allocated; with complete set it
+// gets the count error instead, since a complete schedule fills its span.
 func (s *Schedule) Validate(complete bool) error {
 	g := s.EffectiveGraph()
-	idx := make(map[graph.InstanceID]int, len(s.Placements))
+	// The field checks and the duplicate check report the first failing
+	// placement in order. Find the first with a bad field, so the table
+	// is sized from the in-range placements before it.
+	bad, maxIter := len(s.Placements), -1
+	var badErr error
 	for i, p := range s.Placements {
-		if p.Node < 0 || p.Node >= g.N() {
-			return fmt.Errorf("plan: placement %d references unknown node %d", i, p.Node)
+		if badErr = s.fieldError(i, g.N()); badErr != nil {
+			bad = i
+			break
 		}
-		if p.Iter < 0 {
-			return fmt.Errorf("plan: placement %d has negative iteration", i)
+		maxIter = max(maxIter, p.Iter)
+	}
+	if err := checkSpan(g.N(), maxIter, len(s.Placements)); err != nil {
+		if complete {
+			return s.countError(g.N())
 		}
-		if p.Start < 0 {
-			return fmt.Errorf("plan: placement %d starts at negative cycle %d", i, p.Start)
-		}
-		if p.Proc < 0 {
-			return fmt.Errorf("plan: placement %d on negative processor", i)
-		}
-		if s.Processors > 0 && p.Proc >= s.Processors {
-			return fmt.Errorf("plan: placement %d on processor %d, schedule declares %d", i, p.Proc, s.Processors)
-		}
-		if prev, dup := idx[p.Key()]; dup {
+		return err
+	}
+	idx := NewTable(g.N(), maxIter+1)
+	for i, p := range s.Placements[:bad] {
+		if prev := idx.Get(p.Node, p.Iter); prev >= 0 {
 			return fmt.Errorf("plan: instance (%s, iter %d) placed twice (placements %d and %d)",
 				g.Nodes[p.Node].Name, p.Iter, prev, i)
 		}
-		idx[p.Key()] = i
+		idx.Set(p.Node, p.Iter, i)
 	}
-	// Processor overlap.
-	for proc, grp := range s.ByProc() {
+	if badErr != nil {
+		return badErr
+	}
+	// Processor overlap, in ByProc's order. A schedule naming processors
+	// beyond its placement count sorts as one group by processor instead,
+	// so nothing is sized by the processor numbers.
+	groups := [][]int{nil}
+	if s.procSpan() <= len(s.Placements) {
+		groups = s.ByProc()
+	} else {
+		order := make([]int, len(s.Placements))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, b int) int {
+			pa, pb := &s.Placements[a], &s.Placements[b]
+			if c := cmp.Compare(pa.Proc, pb.Proc); c != 0 {
+				return c
+			}
+			return byStart(pa, pb)
+		})
+		groups[0] = order
+	}
+	for _, grp := range groups {
 		for j := 1; j < len(grp); j++ {
 			prev := s.Placements[grp[j-1]]
 			cur := s.Placements[grp[j]]
-			if prev.Start+g.Nodes[prev.Node].Latency > cur.Start {
+			if prev.Proc == cur.Proc && prev.Start+g.Nodes[prev.Node].Latency > cur.Start {
 				return fmt.Errorf("plan: processor %d overlap: (%s,%d)@%d and (%s,%d)@%d",
-					proc, g.Nodes[prev.Node].Name, prev.Iter, prev.Start,
+					cur.Proc, g.Nodes[prev.Node].Name, prev.Iter, prev.Start,
 					g.Nodes[cur.Node].Name, cur.Iter, cur.Start)
 			}
 		}
@@ -239,8 +311,8 @@ func (s *Schedule) Validate(complete bool) error {
 			if srcIter < 0 {
 				continue
 			}
-			pi, ok := idx[graph.InstanceID{Node: e.From, Iter: srcIter}]
-			if !ok {
+			pi := idx.Get(e.From, srcIter)
+			if pi < 0 {
 				return fmt.Errorf("plan: placement %d (%s, iter %d) depends on unplaced (%s, iter %d)",
 					i, g.Nodes[p.Node].Name, p.Iter, g.Nodes[e.From].Name, srcIter)
 			}
@@ -252,14 +324,39 @@ func (s *Schedule) Validate(complete bool) error {
 			}
 		}
 	}
-	if complete {
-		iters := s.Iterations()
-		if len(s.Placements) != iters*g.N() {
-			return fmt.Errorf("plan: %d placements for %d iterations of %d nodes (want %d)",
-				len(s.Placements), iters, g.N(), iters*g.N())
-		}
+	if complete && len(s.Placements) != s.Iterations()*g.N() {
+		return s.countError(g.N())
 	}
 	return nil
+}
+
+// fieldError describes the first bad field of placement i of a schedule
+// over an n-node graph: a node outside it, or a negative iteration,
+// start or processor, or a processor past the declared count. It returns
+// nil when every field is in range.
+func (s *Schedule) fieldError(i, n int) error {
+	p := s.Placements[i]
+	switch {
+	case p.Node < 0 || p.Node >= n:
+		return fmt.Errorf("plan: placement %d references unknown node %d", i, p.Node)
+	case p.Iter < 0:
+		return fmt.Errorf("plan: placement %d has negative iteration", i)
+	case p.Start < 0:
+		return fmt.Errorf("plan: placement %d starts at negative cycle %d", i, p.Start)
+	case p.Proc < 0:
+		return fmt.Errorf("plan: placement %d on negative processor", i)
+	case s.Processors > 0 && p.Proc >= s.Processors:
+		return fmt.Errorf("plan: placement %d on processor %d, schedule declares %d", i, p.Proc, s.Processors)
+	}
+	return nil
+}
+
+// countError reports a placement count that does not cover whole
+// iterations of an n-node graph.
+func (s *Schedule) countError(n int) error {
+	iters := s.Iterations()
+	return fmt.Errorf("plan: %d placements for %d iterations of %d nodes (want %d)",
+		len(s.Placements), iters, n, iters*n)
 }
 
 // Sequential returns the schedule that runs all N iterations of the whole

@@ -159,8 +159,14 @@ func TestByProcAndIndex(t *testing.T) {
 	if len(grp) != 2 || len(grp[0]) != 0 || len(grp[1]) != 2 {
 		t.Fatalf("ByProc = %v", grp)
 	}
-	idx := s.Index()
-	if idx[graph.InstanceID{Node: 1, Iter: 0}] != 1 {
-		t.Fatalf("Index = %v", idx)
+	idx, err := s.Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := idx.Get(1, 0); got != 1 {
+		t.Fatalf("Index(B, 0) = %d, want 1", got)
+	}
+	if got := idx.Get(0, 1); got != -1 {
+		t.Fatalf("Index(A, 1) = %d, want -1 (unplaced, past the last iteration)", got)
 	}
 }

@@ -9,7 +9,6 @@ package program
 
 import (
 	"fmt"
-	"sort"
 
 	"mimdloop/internal/graph"
 	"mimdloop/internal/plan"
@@ -79,16 +78,30 @@ type MsgKey struct {
 // values crossing processors costs one SEND/RECV pair, not G.
 func Build(s *plan.Schedule) ([]Program, error) {
 	g := s.EffectiveGraph()
-	idx := s.Index()
+	idx, err := s.Index()
+	if err != nil {
+		return nil, err
+	}
 	byProc := s.ByProc()
 
 	// Discover messages: for each cross-processor dependence, record the
 	// earliest consuming placement per (value, dst) and the max edge cost.
-	type msgInfo struct {
-		firstConsumer int // placement index of earliest consumer on To
+	// Each producer placement links its messages in destination order
+	// (its sends), and each first consumer links the messages it waits
+	// for in (source, iteration, node) order (its receives).
+	type message struct {
+		key           MsgKey
+		firstConsumer int
 		cost          int
+		nextSend      int32
+		nextRecv      int32
 	}
-	msgs := make(map[MsgKey]*msgInfo)
+	msgs := make([]message, 0, len(s.Placements))
+	heads := make([]int32, 2*len(s.Placements))
+	for i := range heads {
+		heads[i] = -1
+	}
+	sendHead, recvHead := heads[:len(s.Placements)], heads[len(s.Placements):]
 	for pi, p := range s.Placements {
 		for _, ei := range g.In(p.Node) {
 			e := g.Edges[ei]
@@ -96,8 +109,8 @@ func Build(s *plan.Schedule) ([]Program, error) {
 			if srcIter < 0 {
 				continue
 			}
-			prodIdx, ok := idx[graph.InstanceID{Node: e.From, Iter: srcIter}]
-			if !ok {
+			prodIdx := idx.Get(e.From, srcIter)
+			if prodIdx < 0 {
 				return nil, fmt.Errorf("program: (%s, iter %d) has no producer for %s",
 					g.Nodes[p.Node].Name, p.Iter, g.Nodes[e.From].Name)
 			}
@@ -105,57 +118,68 @@ func Build(s *plan.Schedule) ([]Program, error) {
 			if prod.Proc == p.Proc {
 				continue
 			}
-			key := MsgKey{Node: e.From, Iter: srcIter, From: prod.Proc, To: p.Proc}
-			info := msgs[key]
-			if info == nil {
-				info = &msgInfo{firstConsumer: pi, cost: graph.EdgeCost(e, s.Timing.CommCost)}
-				msgs[key] = info
+			cost := graph.EdgeCost(e, s.Timing.CommCost)
+			prev, m := int32(-1), sendHead[prodIdx]
+			for m >= 0 && msgs[m].key.To < p.Proc {
+				prev, m = m, msgs[m].nextSend
+			}
+			if m >= 0 && msgs[m].key.To == p.Proc {
+				msgs[m].cost = max(msgs[m].cost, cost)
+				if earlier(s, pi, msgs[m].firstConsumer) {
+					msgs[m].firstConsumer = pi
+				}
+				continue
+			}
+			msgs = append(msgs, message{
+				key:           MsgKey{Node: e.From, Iter: srcIter, From: prod.Proc, To: p.Proc},
+				firstConsumer: pi, cost: cost, nextSend: m,
+			})
+			if prev < 0 {
+				sendHead[prodIdx] = int32(len(msgs) - 1)
 			} else {
-				if c := graph.EdgeCost(e, s.Timing.CommCost); c > info.cost {
-					info.cost = c
-				}
-				if earlier(s, pi, info.firstConsumer) {
-					info.firstConsumer = pi
-				}
+				msgs[prev].nextSend = int32(len(msgs) - 1)
 			}
 		}
 	}
 
-	// Group receives by consumer placement and sends by producer placement.
-	recvsBefore := make(map[int][]MsgKey)
-	sendsAfter := make(map[int][]MsgKey)
-	for key, info := range msgs {
-		recvsBefore[info.firstConsumer] = append(recvsBefore[info.firstConsumer], key)
-		prodIdx := idx[graph.InstanceID{Node: key.Node, Iter: key.Iter}]
-		sendsAfter[prodIdx] = append(sendsAfter[prodIdx], key)
-	}
-	for _, list := range recvsBefore {
-		sortKeys(list, true)
-	}
-	for _, list := range sendsAfter {
-		sortKeys(list, false)
+	// Link every receive to its first consumer.
+	for mi := range msgs {
+		c := msgs[mi].firstConsumer
+		prev, m := int32(-1), recvHead[c]
+		for m >= 0 && recvBefore(msgs[m].key, msgs[mi].key) {
+			prev, m = m, msgs[m].nextRecv
+		}
+		msgs[mi].nextRecv = m
+		if prev < 0 {
+			recvHead[c] = int32(mi)
+		} else {
+			msgs[prev].nextRecv = int32(mi)
+		}
 	}
 
+	// One instruction array backs every program: a compute per placement
+	// and a send and a receive per message.
 	progs := make([]Program, len(byProc))
+	instrs := make([]Instr, 0, len(s.Placements)+2*len(msgs))
 	for proc, placements := range byProc {
 		progs[proc].Proc = proc
+		if len(placements) == 0 {
+			continue
+		}
+		start := len(instrs)
 		for _, pi := range placements {
 			p := s.Placements[pi]
-			for _, key := range recvsBefore[pi] {
-				progs[proc].Instrs = append(progs[proc].Instrs, Instr{
-					Kind: OpRecv, Node: key.Node, Iter: key.Iter, Peer: key.From,
-				})
+			for m := recvHead[pi]; m >= 0; m = msgs[m].nextRecv {
+				key := msgs[m].key
+				instrs = append(instrs, Instr{Kind: OpRecv, Node: key.Node, Iter: key.Iter, Peer: key.From})
 			}
-			progs[proc].Instrs = append(progs[proc].Instrs, Instr{
-				Kind: OpCompute, Node: p.Node, Iter: p.Iter,
-			})
-			for _, key := range sendsAfter[pi] {
-				progs[proc].Instrs = append(progs[proc].Instrs, Instr{
-					Kind: OpSend, Node: key.Node, Iter: key.Iter, Peer: key.To,
-					Cost: msgs[key].cost,
-				})
+			instrs = append(instrs, Instr{Kind: OpCompute, Node: p.Node, Iter: p.Iter})
+			for m := sendHead[pi]; m >= 0; m = msgs[m].nextSend {
+				key := msgs[m].key
+				instrs = append(instrs, Instr{Kind: OpSend, Node: key.Node, Iter: key.Iter, Peer: key.To, Cost: msgs[m].cost})
 			}
 		}
+		progs[proc].Instrs = instrs[start:len(instrs):len(instrs)]
 	}
 	return progs, nil
 }
@@ -173,20 +197,16 @@ func earlier(s *plan.Schedule, a, b int) bool {
 	return pa.Node < pb.Node
 }
 
-func sortKeys(keys []MsgKey, byFrom bool) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if byFrom && a.From != b.From {
-			return a.From < b.From
-		}
-		if !byFrom && a.To != b.To {
-			return a.To < b.To
-		}
-		if a.Iter != b.Iter {
-			return a.Iter < b.Iter
-		}
-		return a.Node < b.Node
-	})
+// recvBefore orders the receives ahead of one consumer by source
+// processor, then iteration, then node.
+func recvBefore(a, b MsgKey) bool {
+	if a.From != b.From {
+		return a.From < b.From
+	}
+	if a.Iter != b.Iter {
+		return a.Iter < b.Iter
+	}
+	return a.Node < b.Node
 }
 
 // Stats summarizes a program set.
