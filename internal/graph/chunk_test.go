@@ -35,12 +35,12 @@ func TestChunkedEdgeMapping(t *testing.T) {
 		t.Fatalf("latencies not folded: %d, %d", cg.Nodes[0].Latency, cg.Nodes[1].Latency)
 	}
 	want := map[Edge]bool{
-		{From: 0, To: 0, Distance: 1}:  true, // ceil(1/3) via the q+1 branch (q=0 self dropped)
-		{From: 0, To: 1, Distance: 0}:  true,
-		{From: 0, To: 1, Distance: 2}:  true,
-		{From: 1, To: 0, Distance: 2}:  true,
-		{From: 1, To: 0, Distance: 3}:  true,
-		{From: 1, To: 1, Distance: 4}:  true,
+		{From: 0, To: 0, Distance: 1}: true, // ceil(1/3) via the q+1 branch (q=0 self dropped)
+		{From: 0, To: 1, Distance: 0}: true,
+		{From: 0, To: 1, Distance: 2}: true,
+		{From: 1, To: 0, Distance: 2}: true,
+		{From: 1, To: 0, Distance: 3}: true,
+		{From: 1, To: 1, Distance: 4}: true,
 	}
 	if len(cg.Edges) != len(want) {
 		t.Fatalf("edges = %+v, want %d of them", cg.Edges, len(want))

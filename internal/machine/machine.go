@@ -9,10 +9,12 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
-	"hash/fnv"
+	"math"
 
 	"mimdloop/internal/graph"
+	"mimdloop/internal/plan"
 	"mimdloop/internal/program"
 )
 
@@ -36,23 +38,47 @@ type FluctModel struct {
 // Delay returns the model's extra latency for one message. It is
 // deterministic per (model, key) and safe for concurrent use.
 func (m FluctModel) Delay(key program.MsgKey) int {
+	return m.delay(fnvWord(fnvOffset, m.Seed), key.Node, key.Iter, key.From, key.To)
+}
+
+// delay is Delay for a message (node, iter, from, to) given seeded, the
+// FNV-64a state after the seed's 8 bytes, which a run computes once.
+func (m FluctModel) delay(seeded uint64, node, iter, from, to int) int {
 	if m.MM <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	var buf [40]byte
-	put := func(off int, v int64) {
-		for i := 0; i < 8; i++ {
-			buf[off+i] = byte(v >> (8 * i))
-		}
+	h := fnvWord(fnvWord(fnvWord(fnvWord(seeded, int64(node)), int64(iter)), int64(from)), int64(to))
+	return int(h % uint64(m.MM))
+}
+
+// FNV-64a parameters. The fluctuation delay of a message is FNV-64a over
+// 40 bytes: the seed, node, iteration, source and destination, each 8
+// bytes little-endian.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// fnvPrimePow[k] is fnvPrime^k mod 2^64.
+var fnvPrimePow = func() (pow [9]uint64) {
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * fnvPrime
 	}
-	put(0, m.Seed)
-	put(8, int64(key.Node))
-	put(16, int64(key.Iter))
-	put(24, int64(key.From))
-	put(32, int64(key.To))
-	h.Write(buf[:])
-	return int(h.Sum64() % uint64(m.MM))
+	return pow
+}()
+
+// fnvWord folds v's 8 little-endian bytes into FNV-64a state h. A zero
+// byte leaves the xor step unchanged, so the zero bytes above v's
+// highest non-zero byte fold into one multiply by a power of the prime:
+// multiplication mod 2^64 is associative, and the result is exact.
+func fnvWord(h uint64, v int64) uint64 {
+	u, n := uint64(v), 0
+	for ; u != 0; u >>= 8 {
+		h = (h ^ u&0xff) * fnvPrime
+		n++
+	}
+	return h * fnvPrimePow[8-n]
 }
 
 // Config controls run-time communication behaviour.
@@ -112,70 +138,202 @@ func (s *Stats) Utilization() float64 {
 
 // Run executes the programs and returns timing statistics. It fails on
 // deadlock (a RECV whose message is never sent) with a diagnostic of the
-// blocked processors.
+// blocked processors, and refuses a malformed program set (see wire)
+// without running it.
 func Run(g *graph.Graph, progs []program.Program, cfg Config) (*Stats, error) {
+	s, err := wire(g, progs)
+	if err != nil {
+		return nil, err
+	}
+	stats := &Stats{PerProc: make([]ProcStats, len(progs))}
+	if err := s.run(cfg, stats); err != nil {
+		return nil, err
+	}
+	return stats, nil
+}
+
+// errMalformed marks the program sets wire refuses.
+var errMalformed = errors.New("machine: malformed program set")
+
+// sim is a program set wired for the simulator, with the state of one
+// run, which run resets so that trials reuse it.
+//
+// Wiring gives every SEND and RECV the slot of its message, one slot per
+// distinct (node, iter, from, to), so a run keeps arrivals in flat
+// slices indexed by slot and never hashes a message key. Duplicate SENDs
+// of one message share its slot, so a later arrival overwrites an
+// earlier one.
+type sim struct {
+	g     *graph.Graph
+	progs []program.Program
+	// slot holds, per instruction in program order (program p's from
+	// start[p]), the message slot of a SEND or RECV. A RECV that no
+	// instruction sends holds -1: it blocks, and the run deadlocks.
+	slot  []int32
+	start []int
+	// link holds each slot's link: the index of its (from, to) pair
+	// among the pairs that carry a message, for LinkFIFO.
+	link []int32
+
+	// arrival is each slot's arrival cycle, valid once sent is set.
+	arrival []int
+	sent    []bool
+	// lastOnLink is each link's latest arrival so far, math.MinInt
+	// before its first message.
+	lastOnLink []int
+	pc, clock  []int
+}
+
+// wire checks and wires progs for running on g. Before allocating
+// anything sized by their iterations, it refuses a program set with an
+// instruction whose node is outside g or whose iteration is negative, a
+// SEND or RECV whose peer is not a processor of the set, or iterations
+// spanning more than max(8·instructions, 1<<20) instance slots
+// (plan.ErrSparse's bound). program.Build never emits such a set, and
+// the plan record decoder range-checks every instruction it reads.
+func wire(g *graph.Graph, progs []program.Program) (*sim, error) {
+	nodes, n := g.N(), len(progs)
+	start := make([]int, n+1)
+	total, sends, maxIter := 0, 0, -1
+	for p, pr := range progs {
+		for i, in := range pr.Instrs {
+			msg := in.Kind == program.OpSend || in.Kind == program.OpRecv
+			if in.Node < 0 || in.Node >= nodes || in.Iter < 0 || msg && (in.Peer < 0 || in.Peer >= n) {
+				return nil, fmt.Errorf("%w: PE%d instr %d (%s node=%d iter=%d peer=%d) outside %d nodes and %d processors",
+					errMalformed, p, i, in.Kind, in.Node, in.Iter, in.Peer, nodes, n)
+			}
+			maxIter = max(maxIter, in.Iter)
+			if in.Kind == program.OpSend {
+				sends++
+			}
+		}
+		total += len(pr.Instrs)
+		start[p+1] = total
+	}
+	if limit := max(8*total, 1<<20); nodes > 0 && maxIter >= limit/nodes {
+		return nil, fmt.Errorf("%w: iteration %d of %d nodes for %d instructions is past the %d-slot bound",
+			errMalformed, maxIter, nodes, total, limit)
+	}
+
+	// Each instance (node, iter) heads, at iter*N + node, a list of the
+	// messages carrying its value, linked through next.
+	type message struct{ from, to, next int32 }
+	msgs := make([]message, 0, sends)
+	heads := plan.NewTable(nodes, maxIter+1)
+	find := func(node, iter, from, to int) int32 {
+		for m := heads.Get(node, iter); m >= 0; m = int(msgs[m].next) {
+			if int(msgs[m].from) == from && int(msgs[m].to) == to {
+				return int32(m)
+			}
+		}
+		return -1
+	}
+	s := &sim{g: g, progs: progs, slot: make([]int32, total), start: start, link: make([]int32, 0, sends)}
+	// Every SEND is wired before any RECV. Links are numbered per
+	// sender: linkTo[q] is the current sender's link to q when
+	// linkFor[q] is that sender plus one.
+	linkFor, linkTo := make([]int32, n), make([]int32, n)
+	links := 0
+	for p, pr := range progs {
+		for i, in := range pr.Instrs {
+			if in.Kind != program.OpSend {
+				continue
+			}
+			m := find(in.Node, in.Iter, p, in.Peer)
+			if m < 0 {
+				m = int32(len(msgs))
+				msgs = append(msgs, message{int32(p), int32(in.Peer), int32(heads.Get(in.Node, in.Iter))})
+				heads.Set(in.Node, in.Iter, int(m))
+				if linkFor[in.Peer] != int32(p+1) {
+					linkFor[in.Peer], linkTo[in.Peer] = int32(p+1), int32(links)
+					links++
+				}
+				s.link = append(s.link, linkTo[in.Peer])
+			}
+			s.slot[start[p]+i] = m
+		}
+	}
+	for p, pr := range progs {
+		for i, in := range pr.Instrs {
+			if in.Kind == program.OpRecv {
+				s.slot[start[p]+i] = find(in.Node, in.Iter, in.Peer, p)
+			}
+		}
+	}
+	s.arrival, s.sent = make([]int, len(msgs)), make([]bool, len(msgs))
+	s.lastOnLink = make([]int, links)
+	s.pc, s.clock = make([]int, n), make([]int, n)
+	return s, nil
+}
+
+// run executes the wired programs under cfg into stats, whose PerProc
+// has one entry per program. Processors take turns round-robin, each
+// running until it finishes or blocks in a RECV whose message has not
+// been sent.
+func (s *sim) run(cfg Config, stats *Stats) error {
 	if cfg.Fluct < 0 {
-		return nil, fmt.Errorf("machine: negative fluctuation %d", cfg.Fluct)
+		return fmt.Errorf("machine: negative fluctuation %d", cfg.Fluct)
 	}
 	model := FluctModel{MM: cfg.Fluct, Seed: cfg.Seed}
-	n := len(progs)
-	arrivals := make(map[program.MsgKey]int)
-	lastOnLink := make(map[[2]int]int)
-	pc := make([]int, n)
-	clock := make([]int, n)
-	stats := &Stats{PerProc: make([]ProcStats, n)}
+	seeded := fnvWord(fnvOffset, cfg.Seed)
+	clear(s.sent)
+	for l := range s.lastOnLink {
+		s.lastOnLink[l] = math.MinInt
+	}
+	clear(s.pc)
+	clear(s.clock)
+	clear(stats.PerProc)
+	stats.Makespan, stats.Messages = 0, 0
 
 	for {
 		progress := false
 		done := true
-		for p := 0; p < n; p++ {
-			prog := &progs[p]
-			for pc[p] < len(prog.Instrs) {
-				in := prog.Instrs[pc[p]]
+		for p, pr := range s.progs {
+			slot := s.slot[s.start[p]:s.start[p+1]]
+			ps := &stats.PerProc[p]
+			pc, clock := s.pc[p], s.clock[p]
+		proc:
+			for ; pc < len(pr.Instrs); pc++ {
+				in := &pr.Instrs[pc]
 				switch in.Kind {
 				case program.OpCompute:
-					lat := g.Nodes[in.Node].Latency
+					lat := s.g.Nodes[in.Node].Latency
 					if cfg.Grain > 1 {
 						lat *= cfg.Grain
 					}
-					clock[p] += lat
-					stats.PerProc[p].Busy += lat
+					clock += lat
+					ps.Busy += lat
 				case program.OpSend:
-					key := program.MsgKey{Node: in.Node, Iter: in.Iter, From: p, To: in.Peer}
 					cost := in.Cost
 					if cfg.Override {
 						cost = cfg.OverrideCost
 					}
-					delay := cost + model.Delay(key)
-					arr := clock[p] + delay
+					arr := clock + cost + model.delay(seeded, in.Node, in.Iter, p, in.Peer)
+					m := slot[pc]
 					if cfg.LinkFIFO {
-						link := [2]int{p, in.Peer}
-						if prev, ok := lastOnLink[link]; ok && prev > arr {
-							arr = prev
-						}
-						lastOnLink[link] = arr
+						l := s.link[m]
+						arr = max(arr, s.lastOnLink[l])
+						s.lastOnLink[l] = arr
 					}
-					arrivals[key] = arr
-					stats.PerProc[p].Sends++
+					s.arrival[m], s.sent[m] = arr, true
+					ps.Sends++
 					stats.Messages++
 				case program.OpRecv:
-					key := program.MsgKey{Node: in.Node, Iter: in.Iter, From: in.Peer, To: p}
-					arr, ok := arrivals[key]
-					if !ok {
+					m := slot[pc]
+					if m < 0 || !s.sent[m] {
 						// Blocked: try again after other processors run.
-						goto nextProc
+						break proc
 					}
-					if arr > clock[p] {
-						stats.PerProc[p].Wait += arr - clock[p]
-						clock[p] = arr
+					if arr := s.arrival[m]; arr > clock {
+						ps.Wait += arr - clock
+						clock = arr
 					}
-					stats.PerProc[p].Recvs++
+					ps.Recvs++
 				}
-				pc[p]++
 				progress = true
 			}
-		nextProc:
-			if pc[p] < len(prog.Instrs) {
+			s.pc[p], s.clock[p] = pc, clock
+			if pc < len(pr.Instrs) {
 				done = false
 			}
 		}
@@ -183,16 +341,16 @@ func Run(g *graph.Graph, progs []program.Program, cfg Config) (*Stats, error) {
 			break
 		}
 		if !progress {
-			return nil, deadlockError(progs, pc)
+			return deadlockError(s.progs, s.pc)
 		}
 	}
-	for p := 0; p < n; p++ {
-		stats.PerProc[p].Finish = clock[p]
-		if clock[p] > stats.Makespan {
-			stats.Makespan = clock[p]
+	for p, clock := range s.clock {
+		stats.PerProc[p].Finish = clock
+		if clock > stats.Makespan {
+			stats.Makespan = clock
 		}
 	}
-	return stats, nil
+	return nil
 }
 
 func deadlockError(progs []program.Program, pc []int) error {

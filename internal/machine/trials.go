@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"mimdloop/internal/graph"
 	"mimdloop/internal/program"
@@ -41,18 +40,12 @@ func TrialSeed(base int64, trial int) int64 {
 	if trial == 0 {
 		return base
 	}
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(base >> (8 * i))
-		buf[8+i] = byte(int64(trial) >> (8 * i))
-	}
-	h.Write(buf[:])
-	return int64(h.Sum64())
+	return int64(fnvWord(fnvWord(fnvOffset, base), int64(trial)))
 }
 
 // RunTrials executes progs `trials` times, trial t under cfg with its
 // seed replaced by TrialSeed(cfg.Seed, t), and aggregates the spread.
+// The program set is wired once, and its trials reuse one run state.
 // Every run is independent and deterministic, so RunTrials is safe to
 // call concurrently from many goroutines (concurrent plan evaluations
 // share no state).
@@ -60,13 +53,17 @@ func RunTrials(g *graph.Graph, progs []program.Program, cfg Config, trials int) 
 	if trials < 1 {
 		return nil, fmt.Errorf("machine: trial count %d, want >= 1", trials)
 	}
+	s, err := wire(g, progs)
+	if err != nil {
+		return nil, err
+	}
+	stats := &Stats{PerProc: make([]ProcStats, len(progs))}
 	ts := &TrialStats{Trials: trials, Makespans: make([]int, 0, trials)}
 	sumMakespan, sumUtil := 0, 0.0
 	for t := 0; t < trials; t++ {
 		c := cfg
 		c.Seed = TrialSeed(cfg.Seed, t)
-		stats, err := Run(g, progs, c)
-		if err != nil {
+		if err := s.run(c, stats); err != nil {
 			return nil, fmt.Errorf("machine: trial %d: %w", t, err)
 		}
 		ts.Makespans = append(ts.Makespans, stats.Makespan)

@@ -309,6 +309,31 @@ func TestArchitectureDocCoversPlanWirePath(t *testing.T) {
 	}
 }
 
+// TestArchitectureDocCoversSimulatorSlots pins the "Simulator message
+// slots" paragraph of the "Plan evaluation" section of
+// docs/ARCHITECTURE.md to the design it documents: slots wired once per
+// trial set through plan.Table, the inline FNV-64a, the malformed-program
+// refusal, and the references and tests that hold the simulator
+// bit-identical.
+func TestArchitectureDocCoversSimulatorSlots(t *testing.T) {
+	data, err := os.ReadFile("../../docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatalf("docs/ARCHITECTURE.md must exist: %v", err)
+	}
+	doc := string(data)
+	eval := doc[strings.Index(doc, "## Plan evaluation"):strings.Index(doc, "## Auto-tuning")]
+	for _, fragment := range []string{
+		"**Simulator message slots.**", "(node, iter, from, to)", "plan.Table", "iter*N + node",
+		"slot -1", "once for all its trials", "hash.Hash64", "the seed's 8 bytes", "TrialSeed",
+		"max(8·instructions, 1<<20)", "ref_test.go", "TestRunMatchesReference",
+		"TestSimulatorDigest", "FuzzSimulate", "TestTable1Golden",
+	} {
+		if !strings.Contains(eval, fragment) {
+			t.Errorf("the plan evaluation section of docs/ARCHITECTURE.md does not cover the simulator fragment %q", fragment)
+		}
+	}
+}
+
 // TestArchitectureDocCoversInstanceTables pins the "Instance tables"
 // paragraph of the "Stage diagram" section of docs/ARCHITECTURE.md to
 // the design it documents: the one dense (iteration, node) table, the

@@ -303,7 +303,7 @@ func TestStreamedReplyMidMeasurementRace(t *testing.T) {
 // the full render, which is what every distinct near-cap plan costs.
 func TestStreamedReplyAllocBytes(t *testing.T) {
 	pipe := New(Config{})
-	streaming := NewServerWith(pipe, ServerConfig{})                     // default: streams over 1 MiB
+	streaming := NewServerWith(pipe, ServerConfig{})                        // default: streams over 1 MiB
 	buffered := NewServerWith(pipe, ServerConfig{StreamThreshold: 1 << 30}) // never streams
 	body, _, _ := nearCapRequest(t, streaming)
 
