@@ -335,6 +335,9 @@ func runTable(name string, iters, loops, trials, workers int, quick bool) error 
 		}
 		fmt.Println("== Table 1 (adaptive granularity): grain-tuned vs grain-1 gort winners on the small-n suite ==")
 		fmt.Print(res.Format())
+		verdict(fmt.Sprintf("grain-tuned gort %.2fx faster than grain-1 gort (floor 1.5x)", res.MeanSpeedup),
+			res.MeanSpeedup >= 1.5)
+		verdict(fmt.Sprintf("serial fallback lost on %d loops (allowed 0)", res.SerialLosses), res.SerialLosses == 0)
 		return nil
 	}
 	if name == "1c" {
@@ -351,6 +354,10 @@ func runTable(name string, iters, loops, trials, workers int, quick bool) error 
 		}
 		fmt.Println("== Table 1 (calibrated sim): sim- and csim-ranked winners vs goroutine ground truth ==")
 		fmt.Print(res.Format())
+		verdict(fmt.Sprintf("csim agrees with gort on %.0f%% of loops (floor 80%%)", res.CsimAgreePct),
+			res.CsimAgreePct >= 80)
+		verdict(fmt.Sprintf("csim tune costs %.2f%% of gort tune (ceiling 1%%)", res.LatencyRatio*100),
+			res.LatencyRatio > 0 && res.LatencyRatio < 0.01)
 		return nil
 	}
 	if name != "1a" && name != "1b" {
@@ -362,6 +369,18 @@ func runTable(name string, iters, loops, trials, workers int, quick bool) error 
 	}
 	printTable(name, res)
 	return nil
+}
+
+// verdict prints one real-hardware acceptance floor of a wall-clock
+// table and whether this run met it. A miss is reported, not returned as
+// an error: wall-clock results vary with the host and its load, so they
+// are measured and shown rather than gating the exit status.
+func verdict(claim string, met bool) {
+	status := "met"
+	if !met {
+		status = "MISSED"
+	}
+	fmt.Printf("verdict: %s: %s\n", claim, status)
 }
 
 func printTable(name string, res *experiments.Table1Result) {

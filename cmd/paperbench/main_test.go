@@ -30,6 +30,9 @@ func TestRunTables(t *testing.T) {
 	if err := runTable("1c", 20, 2, 0, 0, true); err != nil {
 		t.Fatal(err)
 	}
+	if err := runTable("1ad", 20, 2, 1, 0, false); err != nil {
+		t.Fatal(err)
+	}
 	if err := runTable("2x", 30, 3, 0, 0, false); err == nil {
 		t.Fatal("unknown table accepted")
 	}

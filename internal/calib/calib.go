@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"time"
 
 	"mimdloop/internal/core"
@@ -54,6 +55,16 @@ type Profile struct {
 	// FitError is the mean absolute relative residual (0.10 = probe
 	// makespans mispredicted by 10% on average).
 	FitError float64 `json:"fit_error"`
+	// Clamped lists, comma-separated, the coefficients the fit clamped
+	// to zero because the probes pulled them negative: the probe suite
+	// could not identify them, and csim then prices that resource at
+	// nothing. Empty for a fit that kept every coefficient.
+	Clamped string `json:"clamped,omitempty"`
+	// Condition estimates the condition number of the column-scaled
+	// normal equations over all three plan coefficients (the largest
+	// elimination pivot over the smallest). Large values mean the
+	// probes barely separate the coefficients. It is reported only.
+	Condition float64 `json:"condition,omitempty"`
 	// Probes, Trials and Seed echo the calibration configuration.
 	Probes int   `json:"probes"`
 	Trials int   `json:"trials"`
@@ -194,53 +205,59 @@ func Calibrate(cfg Config) (*Profile, error) {
 	if len(rows) < 4 {
 		return nil, fmt.Errorf("calib: only %d plan observations (need >= 4): the probe grid failed to schedule", len(rows))
 	}
-	model, rmse, mae, err := fit(rows)
+	p, err := fit(rows)
 	if err != nil {
 		return nil, err
 	}
-	model.SeqNsPerCycle = fitSeq(seqRows)
-	return &Profile{
-		Model:         model,
-		Samples:       len(rows) + len(seqRows),
-		RMSENs:        rmse,
-		FitError:      mae,
-		Probes:        cfg.Probes,
-		Trials:        cfg.Trials,
-		Seed:          cfg.Seed,
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		CreatedUnixNs: time.Now().UnixNano(),
-	}, nil
+	p.Model.SeqNsPerCycle = fitSeq(seqRows)
+	p.Samples = len(rows) + len(seqRows)
+	p.Probes, p.Trials, p.Seed = cfg.Probes, cfg.Trials, cfg.Seed
+	p.GoMaxProcs = runtime.GOMAXPROCS(0)
+	p.CreatedUnixNs = time.Now().UnixNano()
+	return p, nil
 }
+
+// coefficientNames are the plan coefficients' wire names, in fit column
+// order.
+var coefficientNames = [3]string{"compute_ns_per_cycle", "comm_ns_per_message", "iter_overhead_ns"}
 
 // fit least-squares-fits y ≈ x·coef with nonnegative coefficients: an
 // unconstrained normal-equations solve, then any negative coefficient
 // is clamped out (its column dropped) and the rest refit — negative
 // costs would be physically meaningless and could invert rankings.
-// Returns the model plus RMSE and mean absolute relative error over
-// the observations.
-func fit(rows []obs) (exec.CostModel, float64, float64, error) {
+// Returns a profile holding the plan coefficients, the RMSE and mean
+// absolute relative error over the observations, the clamped
+// coefficients and the first solve's condition estimate.
+func fit(rows []obs) (*Profile, error) {
+	p := &Profile{}
 	active := [3]bool{true, true, true}
 	var coef [3]float64
+	var clamped []string
 	for {
-		c, ok := solveNormal(rows, active)
+		c, cond, ok := solveNormal(rows, active)
 		if !ok {
-			return exec.CostModel{}, 0, 0, fmt.Errorf("calib: singular normal equations over %d observations (degenerate probe suite)", len(rows))
+			return nil, fmt.Errorf("calib: singular normal equations over %d observations (degenerate probe suite)", len(rows))
 		}
-		clamped := false
+		if p.Condition == 0 {
+			p.Condition = cond
+		}
+		refit := false
 		for i := range c {
 			if active[i] && c[i] < 0 {
 				active[i] = false
-				clamped = true
+				refit = true
+				clamped = append(clamped, coefficientNames[i])
 			}
 		}
-		if !clamped {
+		if !refit {
 			coef = c
 			break
 		}
 		if !active[0] && !active[1] && !active[2] {
-			return exec.CostModel{}, 0, 0, fmt.Errorf("calib: every fitted coefficient was negative over %d observations", len(rows))
+			return nil, fmt.Errorf("calib: every fitted coefficient was negative over %d observations", len(rows))
 		}
 	}
+	p.Clamped = strings.Join(clamped, ",")
 	var sse, relSum float64
 	for _, r := range rows {
 		pred := coef[0]*r.x[0] + coef[1]*r.x[1] + coef[2]*r.x[2]
@@ -250,8 +267,9 @@ func fit(rows []obs) (exec.CostModel, float64, float64, error) {
 			relSum += math.Abs(resid) / r.y
 		}
 	}
-	model := exec.CostModel{ComputeNsPerCycle: coef[0], CommNsPerMessage: coef[1], IterOverheadNs: coef[2]}
-	return model, math.Sqrt(sse / float64(len(rows))), relSum / float64(len(rows)), nil
+	p.Model = exec.CostModel{ComputeNsPerCycle: coef[0], CommNsPerMessage: coef[1], IterOverheadNs: coef[2]}
+	p.RMSENs, p.FitError = math.Sqrt(sse/float64(len(rows))), relSum/float64(len(rows))
+	return p, nil
 }
 
 // fitSeq fits the sequential scale alone: d = Σxy/Σx², the 1-D least
@@ -271,9 +289,13 @@ func fitSeq(rows []seqObs) float64 {
 }
 
 // solveNormal solves the normal equations AᵀA c = Aᵀy over the active
-// columns by Gaussian elimination with partial pivoting; ok is false
-// when the system is (numerically) singular.
-func solveNormal(rows []obs, active [3]bool) ([3]float64, bool) {
+// columns by Gaussian elimination with partial pivoting. The columns are
+// scaled to unit norm first, so the pivots are comparable across
+// columns whose units differ by orders of magnitude (cycles, messages,
+// iterations): cond, the largest pivot over the smallest, estimates the
+// condition number, and ok is false when a pivot vanishes (the system
+// is numerically singular).
+func solveNormal(rows []obs, active [3]bool) (coef [3]float64, cond float64, ok bool) {
 	var cols []int
 	for i, on := range active {
 		if on {
@@ -293,6 +315,21 @@ func solveNormal(rows []obs, active [3]bool) ([3]float64, bool) {
 			a[i][n] += r.x[ci] * r.y
 		}
 	}
+	scale := make([]float64, n)
+	for i := range scale {
+		if scale[i] = math.Sqrt(a[i][i]); scale[i] == 0 {
+			return [3]float64{}, 0, false
+		}
+	}
+	for i := range a {
+		for j := range a[i] {
+			a[i][j] /= scale[i]
+			if j < n {
+				a[i][j] /= scale[j]
+			}
+		}
+	}
+	minPivot, maxPivot := math.Inf(1), 0.0
 	for col := 0; col < n; col++ {
 		pivot := col
 		for r := col + 1; r < n; r++ {
@@ -301,9 +338,11 @@ func solveNormal(rows []obs, active [3]bool) ([3]float64, bool) {
 			}
 		}
 		a[col], a[pivot] = a[pivot], a[col]
-		if math.Abs(a[col][col]) < 1e-12 {
-			return [3]float64{}, false
+		piv := math.Abs(a[col][col])
+		if piv < 1e-12 {
+			return [3]float64{}, 0, false
 		}
+		minPivot, maxPivot = math.Min(minPivot, piv), math.Max(maxPivot, piv)
 		for r := 0; r < n; r++ {
 			if r == col {
 				continue
@@ -314,13 +353,12 @@ func solveNormal(rows []obs, active [3]bool) ([3]float64, bool) {
 			}
 		}
 	}
-	var out [3]float64
 	for i, ci := range cols {
-		v := a[i][n] / a[i][i]
+		v := a[i][n] / a[i][i] / scale[i]
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return [3]float64{}, false
+			return [3]float64{}, 0, false
 		}
-		out[ci] = v
+		coef[ci] = v
 	}
-	return out, true
+	return coef, maxPivot / minPivot, true
 }

@@ -1,8 +1,12 @@
 package calib
 
 import (
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,10 +24,11 @@ func TestFitRecoversSyntheticModel(t *testing.T) {
 	} {
 		rows = append(rows, obs{x: x, y: want.PlanNs(x[0], int(x[1]), int(x[2]))})
 	}
-	got, rmse, mae, err := fit(rows)
+	p, err := fit(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, rmse, mae := p.Model, p.RMSENs, p.FitError
 	const tol = 1e-6
 	if diff := got.ComputeNsPerCycle - want.ComputeNsPerCycle; diff > tol || diff < -tol {
 		t.Errorf("compute %v, want %v", got.ComputeNsPerCycle, want.ComputeNsPerCycle)
@@ -36,6 +41,9 @@ func TestFitRecoversSyntheticModel(t *testing.T) {
 	}
 	if rmse > 1e-3 || mae > 1e-6 {
 		t.Errorf("exact data left residuals: rmse %v, mae %v", rmse, mae)
+	}
+	if p.Clamped != "" || p.Condition < 1 || math.IsInf(p.Condition, 0) {
+		t.Errorf("identifiable suite reported clamped %q, condition %v", p.Clamped, p.Condition)
 	}
 }
 
@@ -52,12 +60,17 @@ func TestFitClampsNegativeCoefficients(t *testing.T) {
 	} {
 		rows = append(rows, obs{x: x, y: 10*x[0] - 3*x[1]})
 	}
-	got, _, _, err := fit(rows)
+	p, err := fit(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := p.Model
 	if got.CommNsPerMessage < 0 || got.ComputeNsPerCycle < 0 || got.IterOverheadNs < 0 {
 		t.Fatalf("negative coefficient survived: %+v", got)
+	}
+	// Both non-compute columns pull negative here; the fit records each.
+	if p.Clamped != "comm_ns_per_message,iter_overhead_ns" || got.CommNsPerMessage != 0 || got.IterOverheadNs != 0 {
+		t.Fatalf("clamps not recorded: clamped %q, model %+v", p.Clamped, got)
 	}
 }
 
@@ -70,7 +83,7 @@ func TestFitSingularSuite(t *testing.T) {
 		{x: [3]float64{100, 10, 20}, y: 1000},
 		{x: [3]float64{100, 10, 20}, y: 1000},
 	}
-	if _, _, _, err := fit(rows); err == nil {
+	if _, err := fit(rows); err == nil {
 		t.Fatal("singular normal equations accepted")
 	}
 }
@@ -139,6 +152,90 @@ func TestManagerLifecycle(t *testing.T) {
 	p2 := m2.Profile()
 	if p2 == nil || p2.Model != p.Model || p2.CreatedUnixNs != p.CreatedUnixNs {
 		t.Fatalf("restart did not resume the persisted profile: %+v", p2)
+	}
+}
+
+// TestRefreshKeepsHealthyProfile pins the install rule behind Refresh on
+// constructed profiles: a fit that clamped a coefficient to zero never
+// replaces one that clamped none, and nothing else is refused — not a
+// first fit, not a healthy fit over a degenerate one, not a degenerate
+// fit over another, and not a poorly conditioned fit (the condition
+// estimate is reported only).
+func TestRefreshKeepsHealthyProfile(t *testing.T) {
+	healthy := &Profile{Model: exec.CostModel{ComputeNsPerCycle: 400, CommNsPerMessage: 500, IterOverheadNs: 3000}, Samples: 24, Condition: 40}
+	clamped := &Profile{Model: exec.CostModel{ComputeNsPerCycle: 400, IterOverheadNs: 3500}, Samples: 24, Clamped: "comm_ns_per_message", Condition: 900}
+	illConditioned := &Profile{Model: healthy.Model, Samples: 24, Condition: 1e9}
+	m := NewManager("")
+	for i, step := range []struct {
+		p        *Profile
+		refused  bool
+		wantLive *Profile
+	}{
+		{clamped, false, clamped},               // nothing live yet
+		{clamped, false, clamped},               // degenerate over degenerate
+		{healthy, false, healthy},               // healthy over degenerate
+		{clamped, true, healthy},                // degenerate over healthy: refused
+		{illConditioned, false, illConditioned}, // condition is not a threshold
+		{clamped, true, illConditioned},
+	} {
+		before := m.CalibStats().Refreshes
+		err := m.install(step.p)
+		if refused := errors.Is(err, errDegenerateFit); refused != step.refused || (err != nil && !refused) {
+			t.Fatalf("step %d: install error %v, want refused=%v", i, err, step.refused)
+		}
+		if m.Profile() != step.wantLive {
+			t.Fatalf("step %d: live profile %+v, want %+v", i, m.Profile(), step.wantLive)
+		}
+		if want := before + map[bool]uint64{true: 0, false: 1}[step.refused]; m.CalibStats().Refreshes != want {
+			t.Fatalf("step %d: refreshes %d, want %d", i, m.CalibStats().Refreshes, want)
+		}
+	}
+	cs := m.CalibStats()
+	if cs.Clamped != "" || cs.Condition != 1e9 {
+		t.Fatalf("stats do not report the live fit's guard: %+v", cs)
+	}
+	m.Set(clamped)
+	if cs := m.CalibStats(); cs.Clamped != "comm_ns_per_message" || cs.Condition != 900 {
+		t.Fatalf("stats do not report the clamped coefficient: %+v", cs)
+	}
+}
+
+// TestInstallConcurrent drives the install rule from several goroutines
+// at once (run it under -race): once a healthy fit is live no clamped
+// fit replaces it, and every accepted install, and only those, counts
+// as a refresh.
+func TestInstallConcurrent(t *testing.T) {
+	m := NewManager("")
+	var accepted atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p := &Profile{Samples: 24, Condition: float64(1 + w*50 + i)}
+				if (w+i)%2 == 1 {
+					p.Clamped = "compute_ns_per_cycle"
+				}
+				err := m.install(p)
+				switch {
+				case err == nil:
+					accepted.Add(1)
+				case p.Clamped == "" || !errors.Is(err, errDegenerateFit):
+					t.Error(err)
+				}
+				if p.Clamped == "" && m.Profile().Clamped != "" {
+					t.Error("a clamped fit replaced a healthy one")
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := m.CalibStats().Refreshes; got != accepted.Load() {
+		t.Fatalf("refreshes %d, accepted installs %d", got, accepted.Load())
+	}
+	if m.Profile().Clamped != "" {
+		t.Fatalf("a clamped fit replaced a healthy one: %+v", m.Profile())
 	}
 }
 

@@ -82,6 +82,7 @@ func DecodeProfile(data []byte) (*Profile, error) {
 		"seq_ns_per_cycle":     p.Model.SeqNsPerCycle,
 		"rmse_ns":              p.RMSENs,
 		"fit_error":            p.FitError,
+		"condition":            p.Condition,
 	} {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			return nil, fmt.Errorf("calib: profile field %s = %v, want finite and >= 0", name, v)

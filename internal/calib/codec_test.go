@@ -52,6 +52,21 @@ func TestProfileCodecRoundTrip(t *testing.T) {
 			t.Errorf("encoded record missing %q:\n%s", fragment, data)
 		}
 	}
+	// A profile with no guard findings encodes without the guard's keys,
+	// exactly as records written before the guard; one with findings
+	// round-trips them.
+	for _, key := range []string{`"clamped"`, `"condition"`} {
+		if bytes.Contains(data, []byte(key)) {
+			t.Errorf("guard-free profile encodes %s:\n%s", key, data)
+		}
+	}
+	p.Clamped, p.Condition = "comm_ns_per_message,iter_overhead_ns", 1234.5
+	if data, err = EncodeProfile(p); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = DecodeProfile(data); err != nil || *got != *p {
+		t.Fatalf("guard fields did not round-trip: %v\n%+v\n%s", err, got, data)
+	}
 }
 
 // TestProfileCodecRejectsVersions pins the version gate: records from a

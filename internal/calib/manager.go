@@ -1,6 +1,8 @@
 package calib
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -68,27 +70,52 @@ func (m *Manager) CalibStats() pipeline.CalibStats {
 		cs.Samples = p.Samples
 		cs.RMSENs = p.RMSENs
 		cs.FitError = p.FitError
+		cs.Clamped = p.Clamped
+		cs.Condition = p.Condition
 		cs.Model = p.Model
 	}
 	return cs
 }
 
 // Refresh runs one calibration pass, installs the result, persists it
-// when the manager has a path, and counts the refresh. A failed pass
-// leaves the previous profile live.
+// when the manager has a path, and counts the refresh. A failed pass, or
+// a degenerate fit that would replace a healthy one, leaves the previous
+// profile live.
 func (m *Manager) Refresh(cfg Config) (*Profile, error) {
 	p, err := Calibrate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m.profile.Store(p)
-	m.refreshes.Add(1)
+	if err := m.install(p); err != nil {
+		return nil, err
+	}
 	if m.path != "" {
 		if err := SaveProfile(m.path, p); err != nil {
 			return p, err
 		}
 	}
 	return p, nil
+}
+
+// errDegenerateFit marks a refit refused because it clamped a
+// coefficient to zero while the live fit had clamped none.
+var errDegenerateFit = errors.New("calib: refit clamped a coefficient the live profile fitted")
+
+// install makes p the live profile and counts the refresh, unless p
+// clamped a coefficient to zero and the live profile clamped none: a
+// fit that could not identify a cost never replaces one that could.
+// The condition estimate is reported, never enforced.
+func (m *Manager) install(p *Profile) error {
+	for {
+		live := m.profile.Load()
+		if live != nil && live.Clamped == "" && p.Clamped != "" {
+			return fmt.Errorf("%w (clamped %s to zero); keeping the live profile", errDegenerateFit, p.Clamped)
+		}
+		if m.profile.CompareAndSwap(live, p) {
+			m.refreshes.Add(1)
+			return nil
+		}
+	}
 }
 
 // Start refreshes every interval from a background goroutine until the

@@ -2,6 +2,7 @@ package calib
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -40,11 +41,19 @@ func TestRefreshRacesTune(t *testing.T) {
 	chainBody := `{"source": "loop chain(N = 100) {\n A[i] = A[i-1] + U[i]\n B[i] = B[i-1] + A[i]\n C[i] = C[i-1] + B[i]\n}", "processors": [2], "comm_costs": [2], "grains": [1, 2, 4], "iterations": 30, "eval": {"mode": "measured", "backend": "csim", "trials": 2}}`
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
+	// A quick refit may clamp a coefficient the live fit kept; Refresh
+	// then refuses it by design and keeps the live profile, so only the
+	// installed refreshes count.
+	installed := uint64(1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			if _, err := m.Refresh(Quick()); err != nil {
+			_, err := m.Refresh(Quick())
+			switch {
+			case err == nil:
+				installed++
+			case !errors.Is(err, errDegenerateFit):
 				errs <- fmt.Errorf("refresh %d: %w", i, err)
 				return
 			}
@@ -88,7 +97,7 @@ func TestRefreshRacesTune(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if cs := m.CalibStats(); cs.Refreshes != 4 || !cs.Present {
+	if cs := m.CalibStats(); cs.Refreshes != installed || !cs.Present {
 		t.Fatalf("refresh accounting: %+v", cs)
 	}
 }

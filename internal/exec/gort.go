@@ -52,12 +52,8 @@ func (Goroutine) RunTrials(g *graph.Graph, progs []program.Program, iterations i
 	// computes the same real-iteration values (chunk COMPUTEs expand to
 	// ascending real iterations over the original graph), so the value
 	// cross-check against the sequential baseline is shared unchanged.
-	var runner *mimdrt.Runner
-	if cfg.Grain > 1 {
-		runner = mimdrt.NewChunkedRunner(g, progs, mimdrt.MixSemantics{}, cfg.Grain, iterations)
-	} else {
-		runner = mimdrt.NewRunner(g, progs, mimdrt.MixSemantics{})
-	}
+	// NewChunkedRunner returns the plain per-iteration runner for grain <= 1.
+	runner := mimdrt.NewChunkedRunner(g, progs, mimdrt.MixSemantics{}, cfg.Grain, iterations)
 	defer runner.Close()
 	ts := &TrialStats{
 		Backend:    "gort",

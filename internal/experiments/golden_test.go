@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mimdloop/internal/calib"
 	"mimdloop/internal/workload"
 )
 
@@ -14,6 +15,12 @@ import (
 // of their output, computed with the map-based simulator. Every Table 1
 // number comes from the simulated machine, so a simulator change that
 // moves one cycle of any run changes a digest.
+//
+// The three wall-clock comparisons (1g, 1c and 1ad) are pinned at their
+// default sizes on the fake backend instead of the goroutine runtime,
+// with 1c ranking by a csim profile equal to the fake's model. 1c's tune
+// latencies are wall-clock readings even on the fake, so they are zeroed
+// before rendering.
 func TestTable1Golden(t *testing.T) {
 	t1, err := Table1(25, 100)
 	if err != nil {
@@ -27,6 +34,22 @@ func TestTable1Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gort, err := table1Goroutine(25, 100, 3, fakeBackend{fakeModel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal, err := table1Calibrated(25, 100, 0, &calib.Profile{Model: fakeModel, Samples: 24}, fakeBackend{fakeModel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cal.Rows {
+		cal.Rows[i].CsimTuneNs, cal.Rows[i].GortTuneNs = 0, 0
+	}
+	cal.CsimTuneNsMean, cal.GortTuneNsMean, cal.LatencyRatio = 0, 0, 0
+	adaptive, err := table1Adaptive(len(adaptiveShapes), 0, 0, fakeBackend{fakeModel})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name, out, want string
 	}{
@@ -35,6 +58,9 @@ func TestTable1Golden(t *testing.T) {
 		{"1t", tuned.Format(), "089e3fcbe5344e4c74e048baaa85567b00d7d6239c1c1af7b7ae805703e5ef64"},
 		{"1m", measured.Format(), "d77b6cfba6c88e05c34e18c66935b41f9020b348b92d6d2bb93428525a1fd56a"},
 		{"ablations", ablationsText(t), "acbbff8c7f0823b71a819ab9edcaa41179593b365187a6e38c586c5037cbbd16"},
+		{"1g", gort.Format(), "038050e5f1596907a62e12651e238d938c3aa7f37ff02683f572a6df8bd23e71"},
+		{"1c", cal.Format(), "efedfddd1ac7c4e9423e9081588673b9927752b509cbaccf02241ec7ad81a37c"},
+		{"1ad", adaptive.Format(), "8ea691891422b0dff57ba07f6bfe0d18fb1fa212986da4bd7ec47ef447855cfe"},
 	} {
 		sum := sha256.Sum256([]byte(c.out))
 		if got := hex.EncodeToString(sum[:]); got != c.want {

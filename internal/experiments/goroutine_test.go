@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestTable1GoroutineSmoke runs a CI-sized goroutine-backend comparison:
-// the numbers are wall-clock samples, so the test pins structure and
-// finiteness, never specific timings or which ranking wins.
+// TestTable1GoroutineSmoke runs a CI-sized goroutine-backend comparison
+// on the fake backend and pins its structure and finiteness; the golden
+// digest pins its numbers.
 func TestTable1GoroutineSmoke(t *testing.T) {
-	res, err := Table1Goroutine(2, 20, 1)
+	res, err := table1Goroutine(2, 20, 1, fakeBackend{fakeModel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ package mimdrt
 
 import (
 	"fmt"
-	"sync"
 
 	"mimdloop/internal/graph"
 	"mimdloop/internal/program"
@@ -71,36 +70,15 @@ func buildLinks(progs []program.Program) [][]chan message {
 
 // Run executes the programs concurrently and returns every computed value
 // keyed by instance. It returns an error if any processor needs a value it
-// never computed or received (an invalid program), closing down cleanly.
-// For repeated executions of the same programs — a trial harness timing
-// run after run — use a Runner, which keeps the processor goroutines and
-// link channels alive across runs.
+// never computed or received (an invalid program), closing down cleanly:
+// a processor blocked on a failed peer is released. It is one pass of a
+// Runner; for repeated executions of the same programs — a trial harness
+// timing run after run — keep the Runner, which keeps the processor
+// goroutines and link channels alive across runs.
 func Run(g *graph.Graph, progs []program.Program, sem Semantics) (map[graph.InstanceID]float64, error) {
-	n := len(progs)
-	chans := buildLinks(progs)
-	results := make([]map[graph.InstanceID]float64, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			results[p], errs[p] = runProc(g, progs[p], sem, chans, p, nil)
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mimdrt: PE%d: %w", p, err)
-		}
-	}
-	merged := make(map[graph.InstanceID]float64)
-	for _, r := range results {
-		for k, v := range r {
-			merged[k] = v
-		}
-	}
-	return merged, nil
+	r := NewRunner(g, progs, sem)
+	defer r.Close()
+	return r.Run()
 }
 
 // RunChunked executes a grain-chunked program set (instructions in chunk
@@ -159,10 +137,9 @@ func runProc(
 				break
 			}
 			// Drain the link until the wanted tag shows up, keeping
-			// everything read (later receives may want it). A nil abort
-			// channel blocks forever on its case, so Run's behaviour is
-			// unchanged; a Runner passes its quit channel so a processor
-			// blocked on a peer that died can be released.
+			// everything read (later receives may want it). The Runner's
+			// quit channel releases a processor blocked on a peer that
+			// died.
 		drain:
 			for {
 				select {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mimdloop/internal/core"
 	"mimdloop/internal/doacross"
@@ -104,6 +105,26 @@ func TestRunReportsInvalidProgram(t *testing.T) {
 	}
 	if _, err := Run(g, progs, MixSemantics{}); err == nil {
 		t.Fatal("send of unknown value accepted")
+	}
+	// A processor that fails while its peer waits on a message from it:
+	// the peer must be released, so Run returns the failure instead of
+	// blocking forever.
+	progs = []program.Program{
+		{Proc: 0, Instrs: []program.Instr{{Kind: program.OpCompute, Node: 1, Iter: 0}}},
+		{Proc: 1, Instrs: []program.Instr{{Kind: program.OpRecv, Node: 0, Iter: 0, Peer: 0}}},
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(g, progs, MixSemantics{})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("failed processor accepted")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still blocked 10 s after PE0 failed while PE1 waited on it")
 	}
 }
 

@@ -38,6 +38,14 @@ type CalibStats struct {
 	// FitError is the mean absolute relative residual (0.10 = the model
 	// mispredicts probe makespans by 10% on average).
 	FitError float64 `json:"fit_error"`
+	// Clamped lists, comma-separated, the coefficients the fit clamped
+	// to zero because the probes could not identify them (omitted when
+	// none were).
+	Clamped string `json:"clamped,omitempty"`
+	// Condition estimates the condition number of the fit's column-scaled
+	// normal equations; large values mean the probes barely separate the
+	// coefficients.
+	Condition float64 `json:"condition,omitempty"`
 	// Refreshes counts successful profile replacements since startup.
 	Refreshes uint64 `json:"refreshes"`
 	// Model echoes the live coefficients.

@@ -144,7 +144,7 @@ func TestAPIDocCoversRoutes(t *testing.T) {
 		"loopsched calibrate", "-calib", "-calibrate-every",
 		"calib.profile.json", "quarantine",
 		`"calib"`, `"present"`, `"age_seconds"`, `"samples"`,
-		`"rmse_ns"`, `"fit_error"`, `"refreshes"`, `"model"`,
+		`"rmse_ns"`, `"fit_error"`, `"clamped"`, `"condition"`, `"refreshes"`, `"model"`,
 		`"compute_ns_per_cycle"`, `"comm_ns_per_message"`,
 		`"iter_overhead_ns"`, `"seq_ns_per_cycle"`,
 	} {
@@ -357,4 +357,58 @@ func TestArchitectureDocCoversInstanceTables(t *testing.T) {
 			t.Errorf("the stage diagram section of docs/ARCHITECTURE.md does not cover the instance-table fragment %q", fragment)
 		}
 	}
+}
+
+// TestArchitectureDocCoversTable1Comparisons pins the "Table 1
+// comparisons" section of docs/ARCHITECTURE.md to the design it
+// documents: the one harness and its presets, the pool-or-serial choice
+// derived from the backends, the three judges, the fake backend the
+// tests run the wall-clock presets on, and which half of each
+// acceptance check asserts what.
+func TestArchitectureDocCoversTable1Comparisons(t *testing.T) {
+	data, err := os.ReadFile("../../docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatalf("docs/ARCHITECTURE.md must exist: %v", err)
+	}
+	doc := string(data)
+	section := docSection(doc, "## Table 1 comparisons")
+	if section == "" {
+		t.Fatal(`docs/ARCHITECTURE.md has no "## Table 1 comparisons" section`)
+	}
+	for _, fragment := range []string{
+		"internal/experiments/compare.go", "ranking", "tuneAndJudge", "regret", "tally",
+		"`Table1Tuned`", "`Table1Measured`", "`Table1Goroutine`", "`Table1Calibrated`", "`Table1Adaptive`",
+		"`{0}×{3}`", "pipeline.RunPool", "Deterministic()", "best-of-32", "winner's curse",
+		"fakeBackend", "fake_test.go", "exec.CostModel", "pure function of the program set",
+		"TestTable1CalibratedAcceptance", "TestTable1AdaptiveAcceptance", "TestTable1Golden",
+		"paperbench -table 1c", "paperbench -table 1ad", "MISSED", "exit status",
+	} {
+		if !strings.Contains(section, fragment) {
+			t.Errorf("the Table 1 comparisons section of docs/ARCHITECTURE.md does not cover %q", fragment)
+		}
+	}
+	// The three passages the section replaced stay folded into it.
+	for _, heading := range []string{"## Plan evaluation", "## Granularity", "## Cost-model calibration"} {
+		passage := docSection(doc, heading)
+		for _, moved := range []string{"TestTable1AdaptiveAcceptance", "TestTable1CalibratedAcceptance", "arXiv:1111.6756"} {
+			if strings.Contains(passage, moved) {
+				t.Errorf("%s still carries the Table 1 comparison passage (%q)", heading, moved)
+			}
+		}
+	}
+}
+
+// docSection returns the section of doc that starts at heading and runs
+// to the next second-level heading or the end ("" when heading is
+// missing).
+func docSection(doc, heading string) string {
+	start := strings.Index(doc, heading)
+	if start < 0 {
+		return ""
+	}
+	section := doc[start:]
+	if end := strings.Index(section[len(heading):], "\n## "); end >= 0 {
+		section = section[:len(heading)+end]
+	}
+	return section
 }

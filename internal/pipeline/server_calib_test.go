@@ -120,6 +120,7 @@ func TestServerSimulateCsim(t *testing.T) {
 func TestServerStatsCalibBlock(t *testing.T) {
 	stats := CalibStats{
 		Present: true, AgeSeconds: 12.5, Samples: 24, RMSENs: 5000, FitError: 0.1,
+		Clamped: "iter_overhead_ns", Condition: 61.5,
 		Refreshes: 3, Model: exec.CostModel{CommNsPerMessage: 900},
 	}
 	srv := NewServerWith(New(Config{}), ServerConfig{Calibration: &stubCalibration{stats: stats}})

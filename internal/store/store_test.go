@@ -22,7 +22,7 @@ var fig7Opts = core.Options{Processors: 2, CommCost: 2}
 
 // buildPlan builds one uncached Figure 7 plan and its canonical store
 // key.
-func buildPlan(t *testing.T, n int) (string, *pipeline.Plan) {
+func buildPlan(t testing.TB, n int) (string, *pipeline.Plan) {
 	t.Helper()
 	g := workload.Figure7().Graph
 	plan, _, err := pipeline.New(pipeline.Config{DisableCache: true}).Schedule(g, fig7Opts, n)
