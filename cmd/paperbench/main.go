@@ -45,7 +45,7 @@ func main() {
 		sweep     = flag.Bool("sweep", false, "sweep processors x comm cost on the Figure 7 loop")
 		iters     = flag.Int("n", 100, "iterations per measurement")
 		loops     = flag.Int("loops", 25, "random loops for Table 1")
-		trials    = flag.Int("trials", 5, "simulation trials per grid point for -table 1m")
+		trials    = flag.Int("trials", 5, "trials per grid point: sim trials for -table 1m, sim and gort trials for 1g, gort trials for 1ad (1c ignores it and runs 20 per cell)")
 		workers   = flag.Int("workers", 0, "worker-pool size for Table 1 and -sweep (0 = GOMAXPROCS)")
 		quick     = flag.Bool("quick", false, "CI-sized run: fewer loops, iterations and trials")
 		jsonOut   = flag.String("json", "", "run the serving benchmark phases against an in-process server and write the trajectory report (BENCH_<n>.json) to this file")

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -13,16 +12,16 @@ import (
 
 // Goroutine ("gort") executes programs for real on the
 // goroutine-per-processor runtime of internal/mimdrt: one goroutine per
-// simulated processor, channel messaging, values tagged with their
-// (node, iteration) identity. Each trial is one timed wall-clock pass
-// over a reused mimdrt.Runner (the goroutines and link channels are set
-// up once, so trials measure execution rather than spawning), and every
-// trial's computed values are cross-checked against the sequential
-// interpretation — a measurement that also silently mis-executed would
-// be worse than no measurement.
+// simulated processor, channel messaging, each processor's values in its
+// own dense slots. Each trial is one timed wall-clock pass over a reused
+// mimdrt.Runner (the program set is wired and the goroutines and link
+// channels are set up once, so trials measure execution rather than
+// spawning), and after every trial each processor's computed values are
+// checked against the sequential interpretation's table — a measurement
+// that also silently mis-executed would be worse than no measurement.
 //
 // Makespans are wall-clock nanoseconds; the sequential baseline is a
-// timed mimdrt.Sequential pass over the same semantics. Unlike the sim
+// timed mimdrt.SequentialTable pass over the same semantics. Unlike the sim
 // backend the numbers are noisy (scheduler jitter, cache state), which
 // is exactly why trial spreads and spread-aware objectives exist.
 type Goroutine struct{}
@@ -48,11 +47,10 @@ func (Goroutine) RunTrials(g *graph.Graph, progs []program.Program, iterations i
 		return nil, fmt.Errorf("exec: gort execution of a %d-iteration program set", iterations)
 	}
 	seq, want := sequentialBaseline(g, iterations)
-	// Grain-chunked program sets run the chunk-space interpreter; it
-	// computes the same real-iteration values (chunk COMPUTEs expand to
-	// ascending real iterations over the original graph), so the value
-	// cross-check against the sequential baseline is shared unchanged.
-	// NewChunkedRunner returns the plain per-iteration runner for grain <= 1.
+	// Grain-chunked program sets run in chunk space; a chunk COMPUTE
+	// expands to ascending real iterations over the original graph, so
+	// the check against the sequential table is the same at every grain.
+	// NewChunkedRunner is NewRunner for grain <= 1.
 	runner := mimdrt.NewChunkedRunner(g, progs, mimdrt.MixSemantics{}, cfg.Grain, iterations)
 	defer runner.Close()
 	ts := &TrialStats{
@@ -64,12 +62,12 @@ func (Goroutine) RunTrials(g *graph.Graph, progs []program.Program, iterations i
 	}
 	for t := 0; t < cfg.Trials; t++ {
 		t0 := time.Now()
-		got, err := runner.Run()
+		err := runner.Pass()
 		d := float64(time.Since(t0).Nanoseconds())
-		if err != nil {
-			return nil, fmt.Errorf("exec: gort trial %d: %w", t, err)
+		if err == nil {
+			err = runner.Check(want)
 		}
-		if err := checkValues(g, got, want); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("exec: gort trial %d: %w", t, err)
 		}
 		ts.Makespans = append(ts.Makespans, d)
@@ -97,7 +95,7 @@ type seqKey struct {
 
 type seqEntry struct {
 	dur  float64
-	vals map[graph.InstanceID]float64
+	vals []float64 // mimdrt.SequentialTable's
 }
 
 var seqBaselines struct {
@@ -115,10 +113,10 @@ func ResetSequentialBaselines() {
 	seqBaselines.Unlock()
 }
 
-// sequentialBaseline returns the timed duration and ground-truth values
+// sequentialBaseline returns the timed duration and ground-truth table
 // of the sequential interpretation for (g, iterations), computing them
 // once per distinct pair (warm-up pass first, then the timed pass).
-func sequentialBaseline(g *graph.Graph, iterations int) (float64, map[graph.InstanceID]float64) {
+func sequentialBaseline(g *graph.Graph, iterations int) (float64, []float64) {
 	key := seqKey{g, iterations}
 	seqBaselines.Lock()
 	defer seqBaselines.Unlock()
@@ -126,9 +124,9 @@ func sequentialBaseline(g *graph.Graph, iterations int) (float64, map[graph.Inst
 		return e.dur, e.vals
 	}
 	sem := mimdrt.MixSemantics{}
-	want := mimdrt.Sequential(g, sem, iterations)
+	want := mimdrt.SequentialTable(g, sem, iterations)
 	t0 := time.Now()
-	mimdrt.Sequential(g, sem, iterations)
+	mimdrt.SequentialTable(g, sem, iterations)
 	dur := float64(time.Since(t0).Nanoseconds())
 	if len(seqBaselines.entries) >= seqBaselineCap {
 		seqBaselines.entries = nil // cheap full reset; correctness is unaffected
@@ -151,24 +149,4 @@ func countSends(progs []program.Program) int {
 		}
 	}
 	return n
-}
-
-// checkValues asserts the concurrent execution computed exactly the
-// sequential interpretation's values: same instance set, same numbers to
-// relative 1e-9. Any misrouted, missing or duplicated operand fails.
-func checkValues(g *graph.Graph, got, want map[graph.InstanceID]float64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("computed %d instance values, sequential computed %d", len(got), len(want))
-	}
-	for id, w := range want {
-		v, ok := got[id]
-		if !ok {
-			return fmt.Errorf("instance (%s, iter %d) never computed", g.Nodes[id.Node].Name, id.Iter)
-		}
-		if math.Abs(v-w) > 1e-9*math.Max(1, math.Abs(w)) {
-			return fmt.Errorf("instance (%s, iter %d) = %v, sequential %v",
-				g.Nodes[id.Node].Name, id.Iter, v, w)
-		}
-	}
-	return nil
 }

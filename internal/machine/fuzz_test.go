@@ -8,9 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"mimdloop/internal/core"
 	"mimdloop/internal/jsonwire"
 	"mimdloop/internal/program"
+	"mimdloop/internal/program/progtest"
 	"mimdloop/internal/workload"
 )
 
@@ -22,37 +22,14 @@ import (
 // field the simulator indexes with.
 func FuzzSimulate(f *testing.F) {
 	g := workload.Figure7().Graph
-	var bases [][]program.Program
-	for _, opts := range []core.Options{{Processors: 2, CommCost: 2}, {Processors: 3, CommCost: 3}} {
-		ls, err := core.ScheduleLoop(g, opts, 20)
-		if err != nil {
-			f.Fatal(err)
-		}
-		progs, err := program.Build(ls.Full)
-		if err != nil {
-			f.Fatal(err)
-		}
-		bases = append(bases, progs)
-	}
-	// Streams(1, 5, 2) has figure 7's five nodes; grain 4 makes it a
-	// chunk-space program set.
-	streams, err := workload.Streams(1, 5, 2)
+	bases, err := progtest.FuzzBases()
 	if err != nil {
 		f.Fatal(err)
 	}
-	ls, err := core.ScheduleLoop(streams, core.Options{Processors: 3, CommCost: 2, Grain: 4}, 40)
-	if err != nil {
-		f.Fatal(err)
-	}
-	progs, err := program.Build(ls.Full)
-	if err != nil {
-		f.Fatal(err)
-	}
-	bases = append(bases, progs)
 	for i, progs := range bases {
 		f.Add(program.AppendJSON(nil, progs), 3, int64(i), i%2 == 0)
-		for _, m := range simMutations {
-			if mp := m.apply(progs); mp != nil {
+		for _, m := range progtest.Mutations {
+			if mp := m.Apply(progs); mp != nil {
 				f.Add(program.AppendJSON(nil, mp), 5, int64(-i), i%2 == 1)
 			}
 		}

@@ -12,6 +12,7 @@ import (
 	"mimdloop/internal/doacross"
 	"mimdloop/internal/graph"
 	"mimdloop/internal/program"
+	"mimdloop/internal/program/progtest"
 	"mimdloop/internal/workload"
 )
 
@@ -124,9 +125,9 @@ func buildCorpus() ([]simCase, error) {
 				name := fmt.Sprintf("%s/n%d/p%d/g%d", ng.name, n, p, grain)
 				add(name, ng.g, progs, grain)
 				if n == 60 && grain == 0 {
-					for _, m := range simMutations {
-						if mp := m.apply(progs); mp != nil {
-							add(name+"/"+m.name, ng.g, mp, 0)
+					for _, m := range progtest.Mutations {
+						if mp := m.Apply(progs); mp != nil {
+							add(name+"/"+m.Name, ng.g, mp, 0)
 						}
 					}
 				}
@@ -143,120 +144,6 @@ func buildCorpus() ([]simCase, error) {
 		add(ng.name+"/doacross", ng.g, progs, 0)
 	}
 	return cases, nil
-}
-
-// simMutation rewrites a copy of a program set; apply returns nil when
-// the set has no message to rewrite.
-type simMutation struct {
-	name  string
-	apply func([]program.Program) []program.Program
-}
-
-// firstSend returns the processor and index of the first SEND in
-// processor order, or -1, -1.
-func firstSend(progs []program.Program) (int, int) {
-	for p, pr := range progs {
-		for i, in := range pr.Instrs {
-			if in.Kind == program.OpSend {
-				return p, i
-			}
-		}
-	}
-	return -1, -1
-}
-
-// cloneProgs deep-copies a program set.
-func cloneProgs(progs []program.Program) []program.Program {
-	out := make([]program.Program, len(progs))
-	for p, pr := range progs {
-		out[p] = program.Program{Proc: pr.Proc, Instrs: append([]program.Instr(nil), pr.Instrs...)}
-	}
-	return out
-}
-
-// insertInstr inserts in before index i of processor p's program.
-func insertInstr(progs []program.Program, p, i int, in program.Instr) {
-	ins := progs[p].Instrs
-	ins = append(ins[:i], append([]program.Instr{in}, ins[i:]...)...)
-	progs[p].Instrs = ins
-}
-
-// simMutations are the corpus's malformed program sets. All but the
-// duplicated send deadlock, each through a different path: a RECV whose
-// message nothing sends, a RECV whose message is sent only in reply to
-// a SEND placed after it, and a processor waiting on a message it sends
-// itself later.
-var simMutations = []simMutation{
-	{"drop-send", func(progs []program.Program) []program.Program {
-		p, i := firstSend(progs)
-		if p < 0 {
-			return nil
-		}
-		out := cloneProgs(progs)
-		out[p].Instrs = append(out[p].Instrs[:i], out[p].Instrs[i+1:]...)
-		return out
-	}},
-	{"recv-wrong-peer", func(progs []program.Program) []program.Program {
-		for p, pr := range progs {
-			for i, in := range pr.Instrs {
-				if in.Kind != program.OpRecv {
-					continue
-				}
-				// With two processors the only wrong peer is p itself.
-				out := cloneProgs(progs)
-				peer := (in.Peer + 1) % len(progs)
-				if peer == p && len(progs) > 2 {
-					peer = (peer + 1) % len(progs)
-				}
-				out[p].Instrs[i].Peer = peer
-				return out
-			}
-		}
-		return nil
-	}},
-	{"recv-before-own-send", func(progs []program.Program) []program.Program {
-		// p waits for q to return the value p sends it only afterwards,
-		// and q returns it only once it has received it.
-		p, i := firstSend(progs)
-		if p < 0 {
-			return nil
-		}
-		send := progs[p].Instrs[i]
-		q := send.Peer
-		out := cloneProgs(progs)
-		for j, in := range out[q].Instrs {
-			if in.Kind == program.OpRecv && in.Node == send.Node && in.Iter == send.Iter && in.Peer == p {
-				insertInstr(out, q, j+1, program.Instr{Kind: program.OpSend, Node: send.Node, Iter: send.Iter, Peer: p, Cost: send.Cost})
-				break
-			}
-		}
-		insertInstr(out, p, i, program.Instr{Kind: program.OpRecv, Node: send.Node, Iter: send.Iter, Peer: q})
-		return out
-	}},
-	{"recv-from-self", func(progs []program.Program) []program.Program {
-		p, i := firstSend(progs)
-		if p < 0 {
-			return nil
-		}
-		send := progs[p].Instrs[i]
-		out := cloneProgs(progs)
-		insertInstr(out, p, i+1, program.Instr{Kind: program.OpSend, Node: send.Node, Iter: send.Iter, Peer: p, Cost: send.Cost})
-		insertInstr(out, p, i, program.Instr{Kind: program.OpRecv, Node: send.Node, Iter: send.Iter, Peer: p})
-		return out
-	}},
-	{"duplicate-send", func(progs []program.Program) []program.Program {
-		// The copy, sent last and 5 cycles dearer, overwrites the
-		// first arrival wherever the receiver has not yet read it.
-		p, i := firstSend(progs)
-		if p < 0 {
-			return nil
-		}
-		dup := progs[p].Instrs[i]
-		dup.Cost += 5
-		out := cloneProgs(progs)
-		out[p].Instrs = append(out[p].Instrs, dup)
-		return out
-	}},
 }
 
 // TestRunMatchesReference runs every corpus case on Run and RunTrials

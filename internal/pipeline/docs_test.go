@@ -252,6 +252,31 @@ func TestArchitectureDocCoversGranularity(t *testing.T) {
 	}
 }
 
+// TestArchitectureDocCoversGoroutineRuntime pins docs/ARCHITECTURE.md
+// to the goroutine runtime it documents: the gort box of the evaluation
+// diagram, the per-processor value check, the one wired executor at
+// every grain, and the runtime's slots, links, refusals and pins.
+func TestArchitectureDocCoversGoroutineRuntime(t *testing.T) {
+	data, err := os.ReadFile("../../docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatalf("docs/ARCHITECTURE.md must exist: %v", err)
+	}
+	doc := string(data)
+	for _, fragment := range []string{
+		"wired once: dense value", "processor vs SequentialTable",
+		"`Runner.Check` compares each processor's computed slots",
+		"checked once per program set",
+		"runs one wired", "grain 1 is a chunk of one iteration",
+		"**Runtime value slots.**", "never by processors × iterations",
+		"falls back to the abort-aware select",
+		"FuzzExecute", "TestPassAllocs", "TestRunnerMemoryBounded",
+	} {
+		if !strings.Contains(doc, fragment) {
+			t.Errorf("docs/ARCHITECTURE.md does not cover the goroutine-runtime fragment %q", fragment)
+		}
+	}
+}
+
 // TestArchitectureDocCoversCalibration pins the "Cost-model calibration"
 // section of docs/ARCHITECTURE.md to the design it documents: the probe
 // fit with its separate sequential coefficient, the csim backend and its

@@ -554,7 +554,10 @@ func Simulate(g *Graph, progs []Program, cfg MachineConfig) (*MachineStats, erro
 }
 
 // Execute runs programs concurrently — one goroutine per processor,
-// channel messaging — and returns every computed value.
+// channel messaging — and returns every computed value. A program set
+// that would crash or block on its own (a peer outside the set, a
+// message to the sender itself, a receive nothing feeds) or that reads a
+// value it never computed or received gets an error without running.
 func Execute(g *Graph, progs []Program, sem Semantics) (map[InstanceID]float64, error) {
 	return mimdrt.Run(g, progs, sem)
 }
