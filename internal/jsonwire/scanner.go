@@ -1,9 +1,10 @@
 // Package jsonwire reads and writes the JSON of the plan wire format.
-// The plan codec (internal/pipeline), the schedule codec (internal/plan)
-// and the program codec (internal/program) read through one small,
-// strict, single-pass Scanner, so a plan record is parsed once, front to
-// back, with no reflection and no intermediate copies of its parts; the
-// direct encoders share AppendInt.
+// The plan codec (internal/pipeline) and the schedule codec
+// (internal/plan) read through one small, strict, single-pass Scanner,
+// so a plan record is parsed once, front to back, with no reflection and
+// no intermediate copies of its parts; the direct encoders share
+// AppendInt. The tests' program codec (internal/program/progtest) uses
+// both too.
 //
 // Strict means that whatever a Scanner accepts is valid JSON that
 // encoding/json decodes to the same values. Object keys must match one of

@@ -27,17 +27,17 @@ func FuzzSimulate(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i, progs := range bases {
-		f.Add(program.AppendJSON(nil, progs), 3, int64(i), i%2 == 0)
+		f.Add(progtest.AppendJSON(nil, progs), 3, int64(i), i%2 == 0)
 		for _, m := range progtest.Mutations {
 			if mp := m.Apply(progs); mp != nil {
-				f.Add(program.AppendJSON(nil, mp), 5, int64(-i), i%2 == 1)
+				f.Add(progtest.AppendJSON(nil, mp), 5, int64(-i), i%2 == 1)
 			}
 		}
 	}
 	f.Add([]byte(`[{"Proc":0,"Instrs":[{"Kind":0,"Node":1,"Iter":1099511627776,"Peer":0,"Cost":0}]}]`), 0, int64(0), false)
 
 	f.Fuzz(func(t *testing.T, data []byte, fluct int, seed int64, fifo bool) {
-		progs, err := program.DecodeJSON(jsonwire.New(data), g.N())
+		progs, err := progtest.DecodeJSON(jsonwire.New(data), g.N())
 		if err != nil {
 			return
 		}

@@ -29,17 +29,17 @@ func FuzzExecute(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i, progs := range bases {
-		f.Add(program.AppendJSON(nil, progs), 2+2*i)
+		f.Add(progtest.AppendJSON(nil, progs), 2+2*i)
 		for _, m := range progtest.Mutations {
 			if mp := m.Apply(progs); mp != nil {
-				f.Add(program.AppendJSON(nil, mp), 3+2*i)
+				f.Add(progtest.AppendJSON(nil, mp), 3+2*i)
 			}
 		}
 	}
 	f.Add([]byte(`[{"Proc":0,"Instrs":[{"Kind":0,"Node":1,"Iter":1099511627776,"Peer":0,"Cost":0}]}]`), 0)
 
 	f.Fuzz(func(t *testing.T, data []byte, grain int) {
-		progs, err := program.DecodeJSON(jsonwire.New(data), g.N())
+		progs, err := progtest.DecodeJSON(jsonwire.New(data), g.N())
 		if err != nil {
 			return
 		}

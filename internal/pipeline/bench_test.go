@@ -238,8 +238,8 @@ func codecBenchPlan(tb testing.TB) *Plan {
 }
 
 // BenchmarkEncodePlan measures EncodePlan on a 3,000-placement plan:
-// the header through encoding/json, the memoized schedule bytes copied,
-// the programs appended.
+// the header through encoding/json and the memoized schedule bytes
+// copied.
 func BenchmarkEncodePlan(b *testing.B) {
 	p := codecBenchPlan(b)
 	rec, err := EncodePlan(p)
@@ -258,7 +258,7 @@ func BenchmarkEncodePlan(b *testing.B) {
 
 // BenchmarkDecodePlan measures DecodePlan on the same plan's record:
 // one strict pass over the bytes, with every check a disk read, record
-// fill or peer fill makes.
+// fill or peer fill makes, the schedule's validation and its lowering.
 func BenchmarkDecodePlan(b *testing.B) {
 	rec, err := EncodePlan(codecBenchPlan(b))
 	if err != nil {

@@ -13,13 +13,14 @@ import (
 
 // The durable plan-record format. A record is one JSON object with a
 // format/version header, the full cache key and its three ingredients
-// (graph fingerprint, options, iterations), the serving summary
-// (rate, processor accounting, pattern), the composed schedule in the
-// internal/plan wire format (graph embedded, byte-for-byte the same JSON
-// Plan.ScheduleJSON serves), and the lowered per-processor programs.
-// Everything the serving surface reads off a Plan round-trips; the
-// scheduler's intermediate state (per-component Cyclic-sched results,
-// classification) deliberately does not — it is re-derivable and only
+// (graph fingerprint, options, iterations), what only the scheduler's
+// intermediate state knows (rate, processor accounting, pattern), the
+// measured annotations, and the composed schedule in the internal/plan
+// wire format (graph embedded, byte-for-byte the same JSON
+// Plan.ScheduleJSON serves). Everything the serving surface reads off a
+// Plan round-trips; what the schedule determines (programs, makespan,
+// processor count) is derived on decode, and the scheduler's
+// per-component Cyclic-sched results and classification are only
 // needed to *construct* plans, never to serve them.
 //
 // Version history:
@@ -41,16 +42,16 @@ import (
 //	    grain-free version-4 records are byte-compatible with version 3
 //	    apart from the header, and version <= 3 records decode as
 //	    grain 0 with their original keys intact.
+//	5 — drops "programs", "makespan" and "procs", which every version
+//	    now derives from the schedule (records are about 3x smaller).
+//	    The bump makes a version-4 node refuse the record, which it
+//	    would accept without programs, and compute locally.
 //
-// The one-pass codec changed how records are written and read, not the
-// format, so the version stays 4: records are byte-identical to the
-// ones encoding/json wrote, and every version-1 to -4 record those
-// wrote still decodes. What decoding now refuses is what it should
-// never have served: a placement or instruction index outside the
-// record's graph or programs (which panicked the first evaluation that
-// ran it), an instruction past the keyed iteration count, a repeated
-// key, and a key that matches a field only under case folding (which
-// encoding/json silently merged).
+// Decoding refuses what it should never serve: a schedule that breaks
+// the timing model or disagrees with the key (see lowerRecord), a
+// placement index outside the record's graph, a repeated key, and a key
+// that matches a field only under case folding (which encoding/json
+// silently merged).
 //
 // Decoded annotations are not codec-internal state: the server includes
 // them in /v1/schedule replies as the "measured_by" field, and restoring
@@ -60,16 +61,21 @@ import (
 // like a fresh one.
 const (
 	planRecordFormat  = "mimdloop/plan"
-	planRecordVersion = 4
+	planRecordVersion = 5
 
 	// planRecordMinVersion is the oldest record version DecodePlan still
 	// accepts.
 	planRecordMinVersion = 1
+
+	// maxRecordProcs bounds the processors a record's schedule may span
+	// beyond its placement count: lowering sizes a program per
+	// processor, and a record must not size one by a number it states.
+	maxRecordProcs = 1 << 16
 )
 
 // planHeader is everything a record holds ahead of its schedule: a few
-// hundred bytes, so encoding/json renders it. The schedule and the
-// programs follow it, written by their own appenders.
+// hundred bytes, so encoding/json renders it. The schedule follows it,
+// copied in from the plan's memoized bytes.
 type planHeader struct {
 	Format  string `json:"format"`
 	Version int    `json:"version"`
@@ -79,9 +85,7 @@ type planHeader struct {
 	Options    core.Options `json:"options"`
 	Iterations int          `json:"iterations"`
 
-	Rate     float64 `json:"rate_cycles_per_iteration"`
-	Procs    int     `json:"procs"`
-	Makespan int     `json:"makespan"`
+	Rate float64 `json:"rate_cycles_per_iteration"`
 
 	CyclicProcs    int  `json:"cyclic_procs"`
 	FlowInProcs    int  `json:"flow_in_procs"`
@@ -101,8 +105,7 @@ type planHeader struct {
 // record's key is derived from the plan's own ingredients (PlanKey), so
 // a record can never claim to answer a request its content does not
 // match. Only the header goes through encoding/json; the memoized
-// schedule bytes are copied in as they are and the programs are
-// appended directly, so each byte is written once.
+// schedule bytes are copied in as they are.
 func EncodePlan(p *Plan) ([]byte, error) {
 	sched, err := p.ScheduleJSON()
 	if err != nil {
@@ -116,8 +119,6 @@ func EncodePlan(p *Plan) ([]byte, error) {
 		Options:        p.Opts,
 		Iterations:     p.Iterations,
 		Rate:           p.Rate(),
-		Procs:          p.Procs(),
-		Makespan:       p.Makespan(),
 		CyclicProcs:    p.Schedule.CyclicProcs,
 		FlowInProcs:    p.Schedule.FlowInProcs,
 		FlowOutProcs:   p.Schedule.FlowOutProcs,
@@ -129,49 +130,47 @@ func EncodePlan(p *Plan) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: encode plan record: %w", err)
 	}
-	rec := make([]byte, 0, len(head)+len(sched)+program.JSONSize(p.Programs)+len(`,"schedule":,"programs":`))
+	rec := make([]byte, 0, len(head)+len(`,"schedule":`)+len(sched))
 	rec = append(rec, head[:len(head)-1]...) // reopen the header object
 	rec = append(rec, `,"schedule":`...)
 	rec = append(rec, sched...)
-	rec = append(rec, `,"programs":`...)
-	rec = program.AppendJSON(rec, p.Programs)
 	return append(rec, '}'), nil
 }
 
+// planRecordKeys are the members DecodePlan reads. Version <= 4 records
+// also carry "procs", "makespan" and "programs", which it skips as
+// unknown keys: all three are derived from the schedule.
 var planRecordKeys = []string{
 	"format", "version", "key", "graph_hash", "options", "iterations",
-	"rate_cycles_per_iteration", "procs", "makespan",
+	"rate_cycles_per_iteration",
 	"cyclic_procs", "flow_in_procs", "flow_out_procs", "folded", "greedy_fallback",
-	"pattern", "measured", "measured_by", "schedule", "programs",
+	"pattern", "measured", "measured_by", "schedule",
 }
 
-// DecodePlan reverses EncodePlan, structurally validating the record. It
-// returns the plan's full cache key alongside the reconstructed plan.
+// DecodePlan reverses EncodePlan, validating the record. It returns the
+// plan's full cache key alongside the reconstructed plan.
 //
 // The record is parsed in one pass by the strict scanner the schedule
-// and program decoders share (internal/jsonwire): any key order and
-// insignificant whitespace are accepted and unknown keys skipped, while
-// only the small options, pattern and measured blocks go through
-// encoding/json. Placements and instructions are range-checked as they
-// are read (see plan.Schedule.DecodeJSON and program.DecodeJSON), and
-// instruction iterations against the keyed iteration count once it is
-// known, so a record naming a node outside its graph is rejected here
-// rather than panicking the first evaluation that runs it.
+// decoder uses (internal/jsonwire): any key order and insignificant
+// whitespace are accepted and unknown keys skipped, while only the
+// small options, pattern and measured blocks go through encoding/json.
+// Placements are range-checked as they are read (see
+// plan.Schedule.DecodeJSON). The decoded schedule must then be for the
+// keyed graph, grain and iteration count, and pass Validate(true); it
+// is lowered with program.Build, and the plan's makespan and processor
+// count are read off it, exactly as a freshly-built plan's are. Every
+// record version takes this one path.
 //
 // A decoded plan serves identically to the freshly-built original —
-// same accessors, same pattern summary, byte-identical ScheduleJSON —
-// but carries no scheduler intermediate state: Schedule.Multi and
-// Schedule.Class are nil. Consumers that need those re-schedule; the
-// serving surface never does.
+// same accessors, same pattern summary, same programs, byte-identical
+// ScheduleJSON — but carries no scheduler intermediate state:
+// Schedule.Multi and Schedule.Class are nil. Consumers that need those
+// re-schedule; the serving surface never does.
 func DecodePlan(data []byte) (key string, p *Plan, err error) {
 	var (
 		rec      planHeader
 		measured *MeasuredStats // the version-2 single-annotation block
 		full     *plan.Schedule
-		progs    []program.Program
-		// progsRaw holds a programs list that came before the schedule:
-		// it is decoded once the schedule fixes the node bound.
-		progsRaw []byte
 	)
 	sc := jsonwire.New(data)
 	err = sc.Object(planRecordKeys, func(k string) (err error) {
@@ -190,10 +189,6 @@ func DecodePlan(data []byte) (key string, p *Plan, err error) {
 			rec.Iterations, err = sc.Int()
 		case "rate_cycles_per_iteration":
 			rec.Rate, err = sc.Float64()
-		case "procs":
-			rec.Procs, err = sc.Int()
-		case "makespan":
-			rec.Makespan, err = sc.Int()
 		case "cyclic_procs":
 			rec.CyclicProcs, err = sc.Int()
 		case "flow_in_procs":
@@ -213,20 +208,11 @@ func DecodePlan(data []byte) (key string, p *Plan, err error) {
 		case "schedule":
 			full = new(plan.Schedule)
 			err = full.DecodeJSON(sc)
-		case "programs":
-			if full == nil {
-				progsRaw, err = sc.Raw()
-			} else {
-				progs, err = program.DecodeJSON(sc, full.Graph.N())
-			}
 		}
 		return err
 	})
 	if err == nil {
 		err = sc.End()
-	}
-	if err == nil && progsRaw != nil && full != nil {
-		progs, err = program.DecodeJSON(jsonwire.New(progsRaw), full.Graph.N())
 	}
 	if err != nil {
 		return "", nil, fmt.Errorf("pipeline: decode plan record: %w", err)
@@ -269,20 +255,9 @@ func DecodePlan(data []byte) (key string, p *Plan, err error) {
 	if gotGrain != wantGrain {
 		return "", nil, fmt.Errorf("pipeline: plan record schedule grain %d, options claim %d", full.Grain, rec.Options.Grain)
 	}
-	// Instructions address chunks of the keyed iteration count; one past
-	// the last chunk would hand the goroutine runtime an empty or
-	// negative iteration span.
-	chunks := rec.Iterations
-	if full.Grain > 1 {
-		chunks = (rec.Iterations + full.Grain - 1) / full.Grain
-	}
-	for _, pr := range progs {
-		for i, in := range pr.Instrs {
-			if in.Iter >= chunks {
-				return "", nil, fmt.Errorf("pipeline: plan record program %d instruction %d is for iteration %d of %d",
-					pr.Proc, i, in.Iter, chunks)
-			}
-		}
+	progs, err := lowerRecord(full, rec.Iterations)
+	if err != nil {
+		return "", nil, fmt.Errorf("pipeline: plan record schedule: %w", err)
 	}
 	p = &Plan{
 		GraphHash:  rec.GraphHash,
@@ -300,8 +275,8 @@ func DecodePlan(data []byte) (key string, p *Plan, err error) {
 			GreedyFallback: rec.GreedyFallback,
 		},
 		Programs: progs,
-		makespan: rec.Makespan,
-		procs:    rec.Procs,
+		makespan: full.Makespan(),
+		procs:    full.ProcsUsed(),
 		rate:     rec.Rate,
 		pattern:  rec.Pattern,
 	}
@@ -320,6 +295,36 @@ func DecodePlan(data []byte) (key string, p *Plan, err error) {
 	// bytes, and for any other accepted record it yields the canonical
 	// compact form, which replies embed without re-compacting.
 	return rec.Key, p, nil
+}
+
+// lowerRecord checks a decoded record's schedule for n keyed iterations
+// and lowers it. The schedule must span at most max(placements,
+// maxRecordProcs) processors, since lowering and ProcsUsed size slices
+// by the span; pass Validate(true), so every dependence is met and no
+// processor runs two placements at once; and place exactly the keyed
+// iterations (chunks, at a grain above 1), at least one, so no program
+// runs short of or past the iterations the plan is evaluated for.
+func lowerRecord(s *plan.Schedule, n int) ([]program.Program, error) {
+	span := s.Processors
+	for _, pl := range s.Placements {
+		span = max(span, pl.Proc+1)
+	}
+	if span > max(len(s.Placements), maxRecordProcs) {
+		return nil, fmt.Errorf("%d processors for %d placements", span, len(s.Placements))
+	}
+	if err := s.Validate(true); err != nil {
+		return nil, err
+	}
+	if n < 1 {
+		return nil, fmt.Errorf("keyed for %d iterations", n)
+	}
+	if s.Grain > 1 {
+		n = (n + s.Grain - 1) / s.Grain
+	}
+	if got := s.Iterations(); got != n {
+		return nil, fmt.Errorf("places %d iterations, key has %d", got, n)
+	}
+	return program.Build(s)
 }
 
 // decodeBlock hands one small value (options, pattern, measured stats)

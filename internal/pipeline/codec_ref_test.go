@@ -107,9 +107,7 @@ type planRecord struct {
 	Options    core.Options `json:"options"`
 	Iterations int          `json:"iterations"`
 
-	Rate     float64 `json:"rate_cycles_per_iteration"`
-	Procs    int     `json:"procs"`
-	Makespan int     `json:"makespan"`
+	Rate float64 `json:"rate_cycles_per_iteration"`
 
 	CyclicProcs    int  `json:"cyclic_procs"`
 	FlowInProcs    int  `json:"flow_in_procs"`
@@ -122,8 +120,7 @@ type planRecord struct {
 	Measured   *MeasuredStats   `json:"measured,omitempty"`
 	MeasuredBy []*MeasuredStats `json:"measured_by,omitempty"`
 
-	Schedule json.RawMessage   `json:"schedule"`
-	Programs []program.Program `json:"programs"`
+	Schedule json.RawMessage `json:"schedule"`
 }
 
 // refEncodePlan is the reference record encoding.
@@ -140,8 +137,6 @@ func refEncodePlan(p *Plan) ([]byte, error) {
 		Options:        p.Opts,
 		Iterations:     p.Iterations,
 		Rate:           p.Rate(),
-		Procs:          p.Procs(),
-		Makespan:       p.Makespan(),
 		CyclicProcs:    p.Schedule.CyclicProcs,
 		FlowInProcs:    p.Schedule.FlowInProcs,
 		FlowOutProcs:   p.Schedule.FlowOutProcs,
@@ -150,12 +145,13 @@ func refEncodePlan(p *Plan) ([]byte, error) {
 		Pattern:        p.Pattern(),
 		MeasuredBy:     p.MeasuredAll(),
 		Schedule:       sched,
-		Programs:       p.Programs,
 	})
 }
 
 // refDecodePlan is the reference record decoding: every check the
-// reflection decoder made, and nothing more.
+// reflection decoder made, and nothing more, then the values version 5
+// derives from the schedule instead of reading them: the programs
+// (program.Build), the makespan and the processor count.
 func refDecodePlan(data []byte) (string, *Plan, error) {
 	var rec planRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
@@ -190,6 +186,10 @@ func refDecodePlan(data []byte) (string, *Plan, error) {
 	if gotGrain != wantGrain {
 		return "", nil, fmt.Errorf("schedule grain %d, options claim %d", full.Grain, rec.Options.Grain)
 	}
+	progs, err := program.Build(full)
+	if err != nil {
+		return "", nil, err
+	}
 	p := &Plan{
 		GraphHash:  rec.GraphHash,
 		Opts:       rec.Options,
@@ -205,9 +205,9 @@ func refDecodePlan(data []byte) (string, *Plan, error) {
 			Folded:         rec.Folded,
 			GreedyFallback: rec.GreedyFallback,
 		},
-		Programs: rec.Programs,
-		makespan: rec.Makespan,
-		procs:    rec.Procs,
+		Programs: progs,
+		makespan: full.Makespan(),
+		procs:    full.ProcsUsed(),
 		rate:     rec.Rate,
 		pattern:  rec.Pattern,
 	}
@@ -254,10 +254,22 @@ func refScheduleReply(p *Plan, loop string, hit bool, measured *MeasuredStats) (
 	return buf.Bytes(), err
 }
 
-// samePlan reports the first way two decoded plans differ: key
-// ingredients, serving summary, pattern, annotations, graph, placements
-// or programs.
+// samePlan reports the first way two decoded plans differ: what
+// sameServing compares, or the programs.
 func samePlan(a, b *Plan) error {
+	if err := sameServing(a, b); err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(a.Programs, b.Programs) {
+		return errors.New("programs differ")
+	}
+	return nil
+}
+
+// sameServing reports the first way two plans differ in what they
+// serve: key ingredients, serving summary, pattern, annotations, graph
+// or placements.
+func sameServing(a, b *Plan) error {
 	as, bs := a.Schedule, b.Schedule
 	switch {
 	case a.GraphHash != b.GraphHash || a.Opts != b.Opts || a.Iterations != b.Iterations:
@@ -277,8 +289,6 @@ func samePlan(a, b *Plan) error {
 		return errors.New("schedule header differs")
 	case !reflect.DeepEqual(as.Full.Placements, bs.Full.Placements):
 		return errors.New("placements differ")
-	case !reflect.DeepEqual(a.Programs, b.Programs):
-		return errors.New("programs differ")
 	}
 	return nil
 }

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"regexp"
 	"testing"
 
@@ -14,6 +17,7 @@ import (
 	"mimdloop/internal/graph"
 	"mimdloop/internal/machine"
 	"mimdloop/internal/program"
+	"mimdloop/internal/program/progtest"
 	"mimdloop/internal/workload"
 )
 
@@ -85,8 +89,9 @@ func goldenPlans(t *testing.T) []goldenPlan {
 		t.Fatalf("annotations %+v, want sim and gort", measured.MeasuredAll())
 	}
 
-	// No lowering leaves a processor idle, so one is appended: its
-	// program renders "Instrs":null.
+	// No lowering leaves a processor idle, so one is appended. Records
+	// carry no programs, so the decoded plan runs its schedule's lowering
+	// without the appended one.
 	idle := add("figure7-idle-processor", workload.Figure7().Graph, fig7Opts, 10)
 	idle.Programs = append(idle.Programs, program.Program{Proc: len(idle.Programs)})
 
@@ -119,7 +124,8 @@ func namedChain(t *testing.T, names ...string) *graph.Graph {
 // three /v1/schedule bodies — cold buffered, memoized hit body and
 // streamed — are byte-identical to the reflection-based reference
 // rendering, and DecodePlan accepts exactly what the reference decoder
-// accepts, to the same plan.
+// accepts, to the same plan, which serves what the encoded one serves
+// and runs its schedule's lowering.
 func TestPlanWireMatchesReference(t *testing.T) {
 	for _, gp := range goldenPlans(t) {
 		t.Run(gp.name, func(t *testing.T) {
@@ -156,10 +162,18 @@ func TestPlanWireMatchesReference(t *testing.T) {
 				if key != refKey {
 					t.Fatalf("key %q, reference %q", key, refKey)
 				}
-				for _, want := range []*Plan{refGot, p} {
-					if err := samePlan(got, want); err != nil {
-						t.Fatal(err)
-					}
+				if err := samePlan(got, refGot); err != nil {
+					t.Fatal(err)
+				}
+				if err := sameServing(got, p); err != nil {
+					t.Fatal(err)
+				}
+				lowered, err := program.Build(p.Schedule.Full)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Programs, lowered) {
+					t.Fatal("decoded programs are not the schedule's lowering")
 				}
 				if js, _ := got.ScheduleJSON(); !bytes.Equal(js, sched) {
 					t.Fatal("decoded ScheduleJSON differs from the encoded plan's")
@@ -249,7 +263,7 @@ func TestDecodePlanLayouts(t *testing.T) {
 	if err := json.Unmarshal(rec, &fields); err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := json.Marshal(fields) // keys sorted: programs before schedule
+	sorted, err := json.Marshal(fields) // keys sorted: the schedule before the version
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +299,136 @@ func TestDecodePlanLayouts(t *testing.T) {
 	}
 }
 
+// TestPlanRecordV4Decodes: every committed version-4 record decodes to
+// the plan the current code builds — programs deep-equal, schedule bytes
+// identical to the record's own and the fresh plan's — with its
+// annotations kept, and re-encodes as a version-5 record that decodes to
+// the same plan.
+func TestPlanRecordV4Decodes(t *testing.T) {
+	streams, err := workload.Streams(1, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		opts core.Options
+		n    int
+	}{
+		{v4Records[0], workload.Figure7().Graph, fig7Opts, 20},
+		{v4Records[1], streams, core.Options{Processors: 2, CommCost: 2, Grain: 4}, 24},
+		{v4Records[2], workload.Figure7().Graph, fig7Opts, 10},
+	} {
+		rec := readRecord(t, c.name)
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(rec, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if string(fields["version"]) != "4" || fields["programs"] == nil {
+			t.Fatalf("%s: not a version-4 record with programs", c.name)
+		}
+		key, got, err := DecodePlan(rec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		fresh, _, err := New(Config{DisableCache: true}).Schedule(c.g, c.opts, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != PlanKey(fresh.GraphHash, fresh.Opts, fresh.Iterations) {
+			t.Fatalf("%s: key %q", c.name, key)
+		}
+		// The annotations are the record's, byte for byte.
+		annotations, err := json.Marshal(got.MeasuredAll())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []byte(fields["measured_by"])
+		if want == nil {
+			want = []byte("[]")
+		}
+		if !bytes.Equal(annotations, want) {
+			t.Fatalf("%s: annotations %s, record has %s", c.name, annotations, want)
+		}
+		for _, ms := range got.MeasuredAll() {
+			fresh.SetMeasured(ms)
+		}
+		if err := samePlan(got, fresh); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		wantSched, _ := fresh.ScheduleJSON()
+		if js, _ := got.ScheduleJSON(); !bytes.Equal(js, wantSched) || !bytes.Equal(js, fields["schedule"]) {
+			t.Fatalf("%s: schedule bytes differ from the fresh plan's or the record's", c.name)
+		}
+		v5, err := EncodePlan(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(v5, []byte(`"version":5`)) || bytes.Contains(v5, []byte(`"programs"`)) {
+			t.Fatalf("%s: re-encoded record is not version 5: %.120s", c.name, v5)
+		}
+		if _, again, err := DecodePlan(v5); err != nil || samePlan(again, got) != nil {
+			t.Fatalf("%s: re-encoded record decodes differently (%v)", c.name, err)
+		}
+	}
+	_, measured, err := DecodePlan(readRecord(t, v4Records[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if measured.MeasuredBy("sim") == nil || measured.MeasuredBy("gort") == nil {
+		t.Fatalf("measured record lost an annotation: %+v", measured.MeasuredAll())
+	}
+}
+
+// TestDecodePlanIgnoresStalePrograms: the programs, makespan and
+// processor count a version-4 record carries are never read. The
+// committed figure 7 record at 20 iterations decodes to its schedule's
+// lowering (176 instructions) and serves its schedule's makespan and
+// processor count when it carries the 19-iteration plan's 167
+// instructions instead, a wrong makespan or processor count, a program
+// naming node 99, or an instruction past the last iteration.
+func TestDecodePlanIgnoresStalePrograms(t *testing.T) {
+	v4 := readRecord(t, v4Records[0])
+	_, want := buildFig7Plan(t, 20)
+	_, n19 := buildFig7Plan(t, 19)
+	instrs := func(progs []program.Program) (n int) {
+		for _, pr := range progs {
+			n += len(pr.Instrs)
+		}
+		return n
+	}
+	if got := instrs(n19.Programs); got != 167 {
+		t.Fatalf("19-iteration plan lowers to %d instructions, want 167", got)
+	}
+	const member = `,"programs":`
+	at := bytes.LastIndex(v4, []byte(member))
+	if at < 0 {
+		t.Fatal("committed record carries no programs")
+	}
+	stale := append(progtest.AppendJSON(append([]byte(nil), v4[:at+len(member)]...), n19.Programs), '}')
+	for name, rec := range map[string][]byte{
+		"19-iteration programs":    stale,
+		"wrong makespan":           bytes.Replace(v4, []byte(`"makespan":60`), []byte(`"makespan":7`), 1),
+		"wrong processor count":    bytes.Replace(v4, []byte(`"procs":2`), []byte(`"procs":9`), 1),
+		"program names node 99":    firstMatch(v4, regexp.MustCompile(`"Kind":0,"Node":\d+`), `"Kind":0,"Node":99`),
+		"instruction past the end": firstMatch(v4, regexp.MustCompile(`"Kind":0,"Node":\d+,"Iter":\d+`), `"Kind":0,"Node":0,"Iter":20`),
+	} {
+		if bytes.Equal(rec, v4) {
+			t.Fatalf("%s: the rewrite left the record unchanged", name)
+		}
+		_, got, err := DecodePlan(rec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := samePlan(got, want); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := instrs(got.Programs); n != 176 || got.Makespan() != 60 || got.Procs() != 2 {
+			t.Fatalf("%s: %d instructions, makespan %d, %d processors; want 176, 60, 2", name, n, got.Makespan(), got.Procs())
+		}
+	}
+}
+
 // firstMatch rewrites the first match of re in b to repl.
 func firstMatch(b []byte, re *regexp.Regexp, repl string) []byte {
 	loc := re.FindIndex(b)
@@ -294,10 +438,26 @@ func firstMatch(b []byte, re *regexp.Regexp, repl string) []byte {
 	return append(append(append([]byte(nil), b[:loc[0]]...), repl...), b[loc[1]:]...)
 }
 
+// v4Records are plan records the version-4 encoder wrote, committed
+// under testdata/ so the tests keep decoding real pre-version-5 bytes:
+// figure 7 at 20 iterations, a grain-4 Streams(1, 4, 1) plan at 24, and
+// figure 7 at 10 annotated by the sim and gort backends.
+var v4Records = []string{"v4-figure7-n20.json", "v4-streams-grain4-n24.json", "v4-figure7-sim-gort-n10.json"}
+
+// readRecord reads one committed record from testdata/.
+func readRecord(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // decodeSeeds is FuzzDecodePlan's seed corpus: records of figure 7, a
-// grain-4 plan and a measured plan, their version 1, 2 (sorted keys)
-// and 3 rewrites, an indented figure 7 record, and every corruption
-// TestPlanCodecRejectsCorruption checks.
+// grain-4 plan and a measured plan, the committed version-4 records and
+// their version 1, 2 (sorted keys) and 3 rewrites, an indented figure 7
+// record, and every corruption TestPlanCodecRejectsCorruption checks.
 func decodeSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	encode := func(p *Plan) []byte {
@@ -324,15 +484,16 @@ func decodeSeeds(t testing.TB) [][]byte {
 	if _, err := pipe.Evaluate(&MeasuredEvaluator{Trials: 4, Fluct: 3, Seed: 9}, measured); err != nil {
 		t.Fatal(err)
 	}
-	base, measuredRec := encode(fig7), encode(measured)
-	seeds := [][]byte{base, encode(grain), measuredRec}
+	base := encode(fig7)
+	seeds := [][]byte{base, encode(grain), encode(measured)}
+	v4 := readRecord(t, v4Records[0])
 	for _, v := range []string{`"version":1`, `"version":3`} {
-		seeds = append(seeds, bytes.Replace(base, []byte(`"version":4`), []byte(v), 1))
+		seeds = append(seeds, bytes.Replace(v4, []byte(`"version":4`), []byte(v), 1))
 	}
 	// The version-2 shape: one "measured" block, keys sorted by a map
 	// round trip.
 	var rec map[string]json.RawMessage
-	if err := json.Unmarshal(measuredRec, &rec); err != nil {
+	if err := json.Unmarshal(readRecord(t, v4Records[2]), &rec); err != nil {
 		t.Fatal(err)
 	}
 	var by []json.RawMessage
@@ -354,14 +515,19 @@ func decodeSeeds(t testing.TB) [][]byte {
 	for _, mutate := range planCorruptions {
 		seeds = append(seeds, mutate(append([]byte(nil), base...)))
 	}
+	for _, name := range v4Records {
+		seeds = append(seeds, readRecord(t, name))
+	}
 	return seeds
 }
 
 // FuzzDecodePlan feeds DecodePlan arbitrary bytes. It must never panic;
 // whatever it accepts, the reference decoder accepts too, to the same
-// key and plan; re-encoding an accepted plan decodes to the same plan;
-// and an accepted plan runs on the simulated machine without panicking
-// (an error, such as a deadlock, is fine).
+// key and plan; an accepted plan's schedule passes Validate(true), its
+// programs are the schedule's lowering and its makespan and processor
+// count the schedule's; re-encoding an accepted plan decodes to the
+// same plan; and an accepted plan runs on the simulated machine without
+// panicking (an error, such as a deadlock, is fine).
 //
 //	go test -run '^$' -fuzz FuzzDecodePlan -fuzztime 30s ./internal/pipeline
 func FuzzDecodePlan(f *testing.F) {
@@ -382,6 +548,16 @@ func FuzzDecodePlan(f *testing.F) {
 		}
 		if err := samePlan(p, ref); err != nil {
 			t.Fatalf("decoded plan differs from the reference: %v", err)
+		}
+		full := p.Schedule.Full
+		if err := full.Validate(true); err != nil {
+			t.Fatalf("accepted schedule fails Validate(true): %v", err)
+		}
+		if progs, err := program.Build(full); err != nil || !reflect.DeepEqual(p.Programs, progs) {
+			t.Fatalf("accepted programs are not the schedule's lowering (Build error %v)", err)
+		}
+		if p.Makespan() != full.Makespan() || p.Procs() != full.ProcsUsed() {
+			t.Fatalf("makespan %d and procs %d, schedule has %d and %d", p.Makespan(), p.Procs(), full.Makespan(), full.ProcsUsed())
 		}
 		rec, err := EncodePlan(p)
 		if err != nil {
@@ -409,8 +585,11 @@ func FuzzDecodePlan(f *testing.F) {
 // Decoding through encoding/json (reflection over every placement and
 // instruction, every slice grown element by element) cost 289
 // allocations here; the one-pass scanner, which sizes the placement and
-// instruction slices from the input, costs 162 — most of them graph
-// construction and fingerprinting, which the codec does not own. On
+// instruction slices from the input, cost 162 — most of them graph
+// construction and fingerprinting, which the codec does not own. Since
+// version 5 a record has no programs to decode, and the count includes
+// Schedule.Validate(true) and program.Build on the decoded schedule:
+// 161. On
 // encode the reflection path made 5 allocations too (encoding/json
 // pools its buffer), and so does the direct path: the header, its
 // marshaled bytes, the key and one record-sized buffer. Its budget
@@ -438,7 +617,7 @@ func TestPlanCodecAllocs(t *testing.T) {
 	})
 	const (
 		encodeBudget = 6   // measured 5; the reflection encoder made 5
-		decodeBudget = 170 // measured 162; the reflection decoder made 289
+		decodeBudget = 170 // measured 161 with validation and lowering; the reflection decoder made 289
 	)
 	t.Logf("%d-byte record: encode %.0f allocs (budget %d), decode %.0f allocs (budget %d)",
 		len(rec), encode, encodeBudget, decode, decodeBudget)

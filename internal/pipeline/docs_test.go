@@ -307,9 +307,9 @@ func TestArchitectureDocCoversCalibration(t *testing.T) {
 // TestArchitectureDocCoversPlanWirePath pins the "Plan wire path"
 // section of docs/ARCHITECTURE.md to the design it documents: direct
 // appenders and the memoized schedule bytes, the envelope split behind
-// all three reply lanes, the strict single-pass decode with its range
-// checks, disk I/O outside the store lock, and the tests and
-// benchmarks that hold each in place.
+// all three reply lanes, the strict single-pass decode that validates
+// the schedule and lowers it, disk I/O outside the store lock, and the
+// tests and benchmarks that hold each in place.
 func TestArchitectureDocCoversPlanWirePath(t *testing.T) {
 	data, err := os.ReadFile("../../docs/ARCHITECTURE.md")
 	if err != nil {
@@ -318,9 +318,10 @@ func TestArchitectureDocCoversPlanWirePath(t *testing.T) {
 	doc := string(data)
 	for _, fragment := range []string{
 		"## Plan wire path", "Encode once, copy after", "plan.Schedule.AppendJSON",
-		"program.AppendJSON", "One envelope split for all three reply lanes",
-		"splitScheduleReply", "re-compacts", "Single-pass decode with range checks",
-		"jsonwire.Scanner", "program.DecodeJSON", "node 99", "I/O outside the disk lock",
+		"internal/program/progtest", "One envelope split for all three reply lanes",
+		"splitScheduleReply", "re-compacts", "Decode, validate, lower",
+		"jsonwire.Scanner", "Validate(true)", "program.Build", "node 99",
+		"TestDecodePlanIgnoresStalePrograms", "internal/pipeline/testdata/", "I/O outside the disk lock",
 		"fsync", "TestPlanWireMatchesReference", "codec_ref_test.go", "FuzzDecodePlan",
 		"TestDiskStoreConcurrentAccess", "BenchmarkEncodePlan", "BenchmarkDecodePlan",
 		"BenchmarkServeCold", "TestPlanCodecAllocs",

@@ -72,13 +72,15 @@ type Plan struct {
 	// Schedule is the composed result of core.ScheduleLoop.
 	Schedule *core.LoopSchedule
 	// Programs are the lowered COMPUTE/SEND/RECV streams, one per
-	// processor of Schedule.Full.
+	// processor of Schedule.Full: always program.Build(Schedule.Full);
+	// never stored. Both build and DecodePlan fill it eagerly.
 	Programs []program.Program
 
-	// makespan, procs and rate are computed once at build time: all can
-	// cost O(placements) scans that must not run per request on the hit
-	// path (rate falls back to makespan/iterations for pattern-less
-	// plans).
+	// makespan, procs and rate are computed once, when the plan is built
+	// or decoded: all can cost O(placements) scans that must not run per
+	// request on the hit path. makespan and procs are read off
+	// Schedule.Full; rate needs the scheduler's pattern (it falls back to
+	// makespan/iterations for pattern-less plans), so records store it.
 	makespan int
 	procs    int
 	rate     float64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 
@@ -153,7 +154,7 @@ var planCorruptions = map[string]func([]byte) []byte{
 	"not json":     func(b []byte) []byte { return []byte("not a record") },
 	"wrong format": func(b []byte) []byte { return bytes.Replace(b, []byte("mimdloop/plan"), []byte("other/format"), 1) },
 	"wrong version": func(b []byte) []byte {
-		return bytes.Replace(b, []byte(`"version":4`), []byte(`"version":99`), 1)
+		return bytes.Replace(b, []byte(fmt.Sprintf(`"version":%d`, planRecordVersion)), []byte(`"version":99`), 1)
 	},
 	"key mismatch": func(b []byte) []byte {
 		// Change the recorded iteration count without re-deriving the
@@ -165,35 +166,78 @@ var planCorruptions = map[string]func([]byte) []byte{
 		// re-derived graph fingerprint must contradict GraphHash.
 		return bytes.Replace(b, []byte(`"name":"A"`), []byte(`"name":"Z"`), 1)
 	},
-	// Indices outside the 5-node graph would panic the first evaluation
+	// A node outside the 5-node graph would panic the first evaluation
 	// that ran the plan (index out of range [99]).
-	"program names node 99": func(b []byte) []byte {
-		return firstMatch(b, regexp.MustCompile(`"Kind":0,"Node":\d+`), `"Kind":0,"Node":99`)
-	},
 	"placement names node 99": func(b []byte) []byte {
 		return firstMatch(b, regexp.MustCompile(`\{"node":\d+`), `{"node":99`)
 	},
-	// Iteration 10 of a 10-iteration plan: the goroutine runtime's
-	// chunked send would size its value block negative.
-	"instruction past the last iteration": func(b []byte) []byte {
-		return firstMatch(b, regexp.MustCompile(`"Kind":0,"Node":\d+,"Iter":\d+`), `"Kind":0,"Node":0,"Iter":10`)
+	// Lowering sizes a program per processor: 100,000 of them for 50
+	// placements would size it by what the record merely states.
+	"schedule spans 100,000 processors": func(b []byte) []byte {
+		return bytes.Replace(b, []byte(`"processors":2,`), []byte(`"processors":100000,`), 1)
+	},
+	// The last placement, (C, 9) on processor 1, moved to cycle 0, where
+	// processor 1 runs (D, 0).
+	"processor overlap": func(b []byte) []byte {
+		all := regexp.MustCompile(`"start":\d+\}`).FindAllIndex(b, -1)
+		if all == nil {
+			return b
+		}
+		last := all[len(all)-1]
+		return append(append(append([]byte(nil), b[:last[0]]...), `"start":0}`...), b[last[1]:]...)
+	},
+	// (A, 2) on processor 0 moved from cycle 6 into the idle cycle 5:
+	// no overlap, but (A, 1) finishes on processor 1 at cycle 4, so its
+	// value reaches processor 0 at 4 + k = 6.
+	"consumer ahead of its producer's value": func(b []byte) []byte {
+		return bytes.Replace(b, []byte(`{"node":0,"iter":2,"proc":0,"start":6}`), []byte(`{"node":0,"iter":2,"proc":0,"start":5}`), 1)
 	},
 }
 
+// TestPlanCodecRejectsCorruption: DecodePlan refuses every corruption,
+// and a schedule that breaks the timing model is refused for the
+// violation Validate finds.
 func TestPlanCodecRejectsCorruption(t *testing.T) {
 	_, plan := buildFig7Plan(t, 10)
 	data, err := EncodePlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reasons := map[string]string{
+		"schedule spans 100,000 processors":      "100000 processors for 50 placements",
+		"processor overlap":                      "processor 1 overlap",
+		"consumer ahead of its producer's value": "starts before (A, iter 1) is available",
+	}
 	for name, mutate := range planCorruptions {
 		bad := mutate(append([]byte(nil), data...))
 		if bytes.Equal(bad, data) {
 			t.Errorf("%s mutation left the record unchanged", name)
 		}
-		if _, _, err := DecodePlan(bad); err == nil {
+		_, _, err := DecodePlan(bad)
+		if err == nil {
 			t.Errorf("%s record decoded without error", name)
+		} else if reason, ok := reasons[name]; ok && !strings.Contains(err.Error(), reason) {
+			t.Errorf("%s record refused for %v, want %q", name, err, reason)
 		}
+	}
+	// A valid schedule of the same graph for another iteration count,
+	// under the 10-iteration header: its programs would run short of, or
+	// past, the iterations the plan is keyed and evaluated for.
+	sched, _ := plan.ScheduleJSON()
+	for _, n := range []int{9, 11} {
+		_, other := buildFig7Plan(t, n)
+		otherSched, _ := other.ScheduleJSON()
+		spliced := bytes.Replace(data, sched, otherSched, 1)
+		want := fmt.Sprintf("places %d iterations, key has 10", n)
+		if _, _, err := DecodePlan(spliced); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d-iteration schedule under a 10-iteration key: error %v, want %q", n, err, want)
+		}
+	}
+	// A record keyed for no iterations, with an empty schedule to match.
+	empty := regexp.MustCompile(`"placements":\[[^\]]*\]`).ReplaceAll(data, []byte(`"placements":[]`))
+	empty = bytes.Replace(bytes.Replace(empty, []byte(`"iterations":10`), []byte(`"iterations":0`), 1), []byte(`|n10"`), []byte(`|n0"`), 1)
+	if _, _, err := DecodePlan(empty); err == nil || !strings.Contains(err.Error(), "keyed for 0 iterations") {
+		t.Errorf("0-iteration record: error %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -11,8 +12,10 @@ import (
 
 	"mimdloop/internal/core"
 	"mimdloop/internal/graph"
+	"mimdloop/internal/pipeline"
 	"mimdloop/internal/plan"
 	"mimdloop/internal/program"
+	"mimdloop/internal/program/progtest"
 	"mimdloop/internal/workload"
 )
 
@@ -197,13 +200,51 @@ func TestScheduleAndLowerDigest(t *testing.T) {
 		}
 		ls := gp.ls
 		buf = ls.Full.AppendJSON(buf[:0])
-		buf = program.AppendJSON(append(buf, '\n'), gp.progs)
+		buf = progtest.AppendJSON(append(buf, '\n'), gp.progs)
 		h.Write(buf)
 		fmt.Fprintf(h, "\ncyclic %d flow-in %d flow-out %d folded %v fallback %v\n",
 			ls.CyclicProcs, ls.FlowInProcs, ls.FlowOutProcs, ls.Folded, ls.GreedyFallback)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenDigest {
 		t.Fatalf("corpus digest %s, pinned %s", got, goldenDigest)
+	}
+}
+
+// TestGoldenRecordsRoundTrip takes every corpus plan through the
+// durable plan record, which stores the schedule and derives the rest:
+// the decoded plan has the built plan's programs, makespan, processor
+// count, rate and pattern, and its schedule bytes, so no honest record
+// fails the decoder's Validate(true) and iteration checks.
+func TestGoldenRecordsRoundTrip(t *testing.T) {
+	pipe := pipeline.New(pipeline.Config{DisableCache: true})
+	for _, gp := range goldenPlans(t) {
+		if gp.schedErr != nil || gp.lowerErr != nil {
+			continue
+		}
+		p, _, err := pipe.Schedule(gp.g, gp.opts, gp.n)
+		if err != nil {
+			t.Fatalf("%s: %v", gp.name, err)
+		}
+		rec, err := pipeline.EncodePlan(p)
+		if err != nil {
+			t.Fatalf("%s: %v", gp.name, err)
+		}
+		_, got, err := pipeline.DecodePlan(rec)
+		if err != nil {
+			t.Fatalf("%s: an honest record is refused: %v", gp.name, err)
+		}
+		if !reflect.DeepEqual(got.Programs, p.Programs) || !reflect.DeepEqual(got.Programs, gp.progs) {
+			t.Fatalf("%s: decoded programs differ", gp.name)
+		}
+		if got.Makespan() != p.Makespan() || got.Procs() != p.Procs() || got.Rate() != p.Rate() ||
+			!reflect.DeepEqual(got.Pattern(), p.Pattern()) {
+			t.Fatalf("%s: decoded summary %d/%d/%v/%+v, built %d/%d/%v/%+v", gp.name,
+				got.Makespan(), got.Procs(), got.Rate(), got.Pattern(), p.Makespan(), p.Procs(), p.Rate(), p.Pattern())
+		}
+		want, _ := p.ScheduleJSON()
+		if js, err := got.ScheduleJSON(); err != nil || !bytes.Equal(js, want) {
+			t.Fatalf("%s: decoded schedule bytes differ", gp.name)
+		}
 	}
 }
 

@@ -1,21 +1,26 @@
-package program
+package progtest
 
 import (
 	"fmt"
 
 	"mimdloop/internal/jsonwire"
+	"mimdloop/internal/program"
 )
 
-// The program wire format is what encoding/json makes of []Program:
+// The program wire format is what encoding/json makes of
+// []program.Program:
 //
 //	[{"Proc":p,"Instrs":[{"Kind":k,"Node":v,"Iter":i,"Peer":q,"Cost":c},…]},…]
 //
 // with no whitespace; a nil list (of programs or of one processor's
-// instructions) is null and an empty non-nil one is []. AppendJSON writes
-// those bytes directly and DecodeJSON reads them back.
+// instructions) is null and an empty non-nil one is []. Plan records
+// carried it up to version 4; they now derive programs from the
+// schedule, so only tests read and write it: the simulator and runtime
+// fuzzers decode their inputs with DecodeJSON, and the lowering digest
+// hashes AppendJSON's bytes.
 
 // AppendJSON appends the wire encoding of progs to dst.
-func AppendJSON(dst []byte, progs []Program) []byte {
+func AppendJSON(dst []byte, progs []program.Program) []byte {
 	if progs == nil {
 		return append(dst, "null"...)
 	}
@@ -53,25 +58,6 @@ func AppendJSON(dst []byte, progs []Program) []byte {
 	return append(dst, ']')
 }
 
-// JSONSize bounds the length of AppendJSON's output from above, charging
-// every instruction the widest value each of its fields holds — a few
-// percent over the exact length.
-func JSONSize(progs []Program) int {
-	const (
-		program = len(`{"Proc":,"Instrs":null},`) + 20
-		instr   = len(`{"Kind":0,"Node":,"Iter":,"Peer":,"Cost":},`)
-	)
-	var wide Instr
-	n, instrs := 2+len(progs)*program, 0
-	for _, pr := range progs {
-		instrs += len(pr.Instrs)
-		for _, in := range pr.Instrs {
-			wide = Instr{Node: max(wide.Node, in.Node), Iter: max(wide.Iter, in.Iter), Peer: max(wide.Peer, in.Peer), Cost: max(wide.Cost, in.Cost)}
-		}
-	}
-	return n + instrs*(instr+jsonwire.IntLen(wide.Node)+jsonwire.IntLen(wide.Iter)+jsonwire.IntLen(wide.Peer)+jsonwire.IntLen(wide.Cost))
-}
-
 var (
 	programKeys = []string{"Proc", "Instrs"}
 	instrKeys   = []string{"Kind", "Node", "Iter", "Peer", "Cost"}
@@ -87,11 +73,11 @@ var (
 //   - node is in [0, nodes), iteration and cost are >= 0;
 //   - peer is in [0, len(programs)), and a send or recv never names its
 //     own processor (lowering only emits cross-processor messages).
-func DecodeJSON(sc *jsonwire.Scanner, nodes int) ([]Program, error) {
-	var progs []Program
+func DecodeJSON(sc *jsonwire.Scanner, nodes int) ([]program.Program, error) {
+	var progs []program.Program
 	maxPeer := -1
 	null, err := sc.Array(func() error {
-		pr := Program{Proc: len(progs)}
+		pr := program.Program{Proc: len(progs)}
 		proc := 0
 		err := sc.Object(programKeys, func(key string) (err error) {
 			if key == "Proc" {
@@ -99,7 +85,7 @@ func DecodeJSON(sc *jsonwire.Scanner, nodes int) ([]Program, error) {
 				return err
 			}
 			if n := sc.FlatLen(); n > 0 {
-				pr.Instrs = make([]Instr, 0, n)
+				pr.Instrs = make([]program.Instr, 0, n)
 			}
 			null, err := sc.Array(func() error {
 				var v [5]int
@@ -107,7 +93,7 @@ func DecodeJSON(sc *jsonwire.Scanner, nodes int) ([]Program, error) {
 					return err
 				}
 				kind := v[0]
-				in := Instr{Kind: OpKind(kind), Node: v[1], Iter: v[2], Peer: v[3], Cost: v[4]}
+				in := program.Instr{Kind: program.OpKind(kind), Node: v[1], Iter: v[2], Peer: v[3], Cost: v[4]}
 				if err := checkInstr(in, kind, pr.Proc, nodes); err != nil {
 					return fmt.Errorf("program %d instruction %d: %w", pr.Proc, len(pr.Instrs), err)
 				}
@@ -116,7 +102,7 @@ func DecodeJSON(sc *jsonwire.Scanner, nodes int) ([]Program, error) {
 				return nil
 			})
 			if !null && pr.Instrs == nil {
-				pr.Instrs = []Instr{}
+				pr.Instrs = []program.Instr{}
 			}
 			return err
 		})
@@ -130,21 +116,21 @@ func DecodeJSON(sc *jsonwire.Scanner, nodes int) ([]Program, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("program: decode programs: %w", err)
+		return nil, fmt.Errorf("progtest: decode programs: %w", err)
 	}
 	if maxPeer >= len(progs) {
-		return nil, fmt.Errorf("program: decode programs: peer %d of %d processors", maxPeer, len(progs))
+		return nil, fmt.Errorf("progtest: decode programs: peer %d of %d processors", maxPeer, len(progs))
 	}
 	if !null && progs == nil {
-		progs = []Program{}
+		progs = []program.Program{}
 	}
 	return progs, nil
 }
 
 // checkInstr applies DecodeJSON's per-instruction bounds.
-func checkInstr(in Instr, kind, proc, nodes int) error {
+func checkInstr(in program.Instr, kind, proc, nodes int) error {
 	switch {
-	case kind < int(OpCompute) || kind > int(OpRecv):
+	case kind < int(program.OpCompute) || kind > int(program.OpRecv):
 		return fmt.Errorf("unknown kind %d", kind)
 	case in.Node < 0 || in.Node >= nodes:
 		return fmt.Errorf("node %d of %d", in.Node, nodes)
@@ -154,7 +140,7 @@ func checkInstr(in Instr, kind, proc, nodes int) error {
 		return fmt.Errorf("negative cost %d", in.Cost)
 	case in.Peer < 0:
 		return fmt.Errorf("negative peer %d", in.Peer)
-	case in.Kind != OpCompute && in.Peer == proc:
+	case in.Kind != program.OpCompute && in.Peer == proc:
 		return fmt.Errorf("%s with its own processor", in.Kind)
 	}
 	return nil

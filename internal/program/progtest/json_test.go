@@ -1,4 +1,4 @@
-package program
+package progtest
 
 import (
 	"bytes"
@@ -8,21 +8,22 @@ import (
 	"testing"
 
 	"mimdloop/internal/jsonwire"
+	"mimdloop/internal/program"
 )
 
 // TestProgramJSONMatchesEncodingJSON: AppendJSON writes what
 // encoding/json writes for the same programs, nil and empty lists
 // included, and DecodeJSON reads it back to equal programs.
 func TestProgramJSONMatchesEncodingJSON(t *testing.T) {
-	_, s, _ := fig7Schedule(t, 12)
-	built, err := Build(s)
+	bases, err := FuzzBases()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, progs := range map[string][]Program{
+	built := bases[0]
+	for name, progs := range map[string][]program.Program{
 		"figure 7":     built,
-		"idle program": append(append([]Program(nil), built...), Program{Proc: len(built)}),
-		"empty instrs": {{Proc: 0, Instrs: []Instr{}}},
+		"idle program": append(append([]program.Program(nil), built...), program.Program{Proc: len(built)}),
+		"empty instrs": {{Proc: 0, Instrs: []program.Instr{}}},
 		"no programs":  {},
 		"nil":          nil,
 	} {

@@ -1,6 +1,8 @@
-// Package progtest holds the program-set fixtures that the simulator's
-// and the goroutine runtime's tests share: the fuzz targets' starting
-// sets and the malformed rewrites of a lowered set.
+// Package progtest holds the program-set fixtures that the simulator's,
+// the goroutine runtime's and the lowering digest's tests share: the
+// fuzz targets' starting sets, the malformed rewrites of a lowered set,
+// and the program wire codec the fuzz inputs are written in. Only tests
+// import it.
 package progtest
 
 import (

@@ -7,21 +7,37 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"sync"
 	"testing"
 
 	"mimdloop/internal/pipeline"
 )
 
-// TestDiskStoreQuarantinesOutOfRangeIndex: a record whose instruction or
-// placement names a node outside its graph would panic the first
-// evaluation that ran it, so the disk tier quarantines it and serves a
-// miss.
+// TestDiskStoreQuarantinesOutOfRangeIndex: a record whose placement
+// names a node outside its graph would panic the first evaluation that
+// ran it, and one whose schedule overlaps two placements on a processor
+// or starts a consumer before its producer's value arrives would run
+// programs that are not the plan it serves, so the disk tier
+// quarantines each and serves a miss, and PutRecord refuses each and
+// leaves nothing behind.
 func TestDiskStoreQuarantinesOutOfRangeIndex(t *testing.T) {
-	for name, field := range map[string]*regexp.Regexp{
-		"instruction": regexp.MustCompile(`"Kind":0,"Node":\d+`),
-		"placement":   regexp.MustCompile(`\{"node":\d+`),
+	lastStart := regexp.MustCompile(`"start":\d+\}`)
+	for name, corrupt := range map[string]func([]byte) []byte{
+		"placement": func(rec []byte) []byte {
+			at := regexp.MustCompile(`\{"node":\d+`).FindIndex(rec)
+			return []byte(string(rec[:at[0]]) + `{"node":99` + string(rec[at[1]:]))
+		},
+		// The last placement, (C, 9) on processor 1, moved to cycle 0.
+		"overlap": func(rec []byte) []byte {
+			all := lastStart.FindAllIndex(rec, -1)
+			at := all[len(all)-1]
+			return []byte(string(rec[:at[0]]) + `"start":0}` + string(rec[at[1]:]))
+		},
+		// (A, 2) moved into processor 0's idle cycle 5, a cycle before
+		// (A, 1)'s value arrives from processor 1.
+		"dependence": func(rec []byte) []byte {
+			return bytes.Replace(rec, []byte(`{"node":0,"iter":2,"proc":0,"start":6}`), []byte(`{"node":0,"iter":2,"proc":0,"start":5}`), 1)
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -36,23 +52,41 @@ func TestDiskStoreQuarantinesOutOfRangeIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loc := field.FindIndex(rec)
-			if loc == nil {
-				t.Fatalf("record has no %s node field", name)
+			bad := corrupt(rec)
+			if bytes.Equal(bad, rec) {
+				t.Fatalf("the %s corruption left the record unchanged", name)
 			}
-			old := string(rec[loc[0]:loc[1]])
-			bad := []byte(string(rec[:loc[0]]) + old[:strings.LastIndex(old, ":")+1] + "99" + string(rec[loc[1]:]))
 			if err := os.WriteFile(file, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := d.Get(key); ok {
-				t.Fatal("record naming node 99 of 5 was served")
+				t.Fatalf("record with a %s corruption was served", name)
 			}
 			if s := d.Stats(); s.Errors != 1 || s.Misses != 1 || s.Entries != 0 {
 				t.Fatalf("stats after the bad read: %+v", s)
 			}
 			if _, err := os.Stat(filepath.Join(dir, quarantineDir, fileName(key))); err != nil {
 				t.Fatalf("record not quarantined: %v", err)
+			}
+
+			fresh, err := Open(DiskConfig{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fresh.PutRecord(key, bytes.NewReader(bad)); err == nil {
+				t.Fatalf("PutRecord accepted a record with a %s corruption", name)
+			}
+			if s := fresh.Stats(); fresh.Len() != 0 || s.Entries != 0 || s.Errors != 1 {
+				t.Fatalf("refused record left state behind: %+v", s)
+			}
+			entries, err := os.ReadDir(fresh.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if e.Name() != quarantineDir {
+					t.Fatalf("refused record left %s behind", e.Name())
+				}
 			}
 		})
 	}

@@ -279,6 +279,55 @@ func TestPeerStoreRejectsCorruptOrMismatchedRecord(t *testing.T) {
 	}
 }
 
+// TestNewerRecordVersionFallsBackToCompute: a record of a version
+// this node does not read (as a version-5 record is to a version-4
+// node in a rolling upgrade) is refused as a peer fill and by
+// PutRecord, leaving nothing behind, and the pipeline computes the
+// plan locally.
+func TestNewerRecordVersionFallsBackToCompute(t *testing.T) {
+	tr := newPeerTransport()
+	p := newTestPeer(t, tr)
+	key, plan := keyOwnedBy(t, p.Ring(), "other")
+	rec, err := pipeline.EncodePlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := bytes.Replace(rec, []byte(`"version":5`), []byte(`"version":6`), 1)
+	if bytes.Equal(newer, rec) {
+		t.Fatal("record is not version 5")
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(newer)
+	}))
+	defer srv.Close()
+	tr.setAddr("other", srv.Listener.Addr().String())
+
+	disk, err := Open(DiskConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := disk.PutRecord(key, bytes.NewReader(newer)); err == nil {
+		t.Fatal("PutRecord accepted a newer record version")
+	}
+	if disk.Len() != 0 {
+		t.Fatal("refused record entered the store")
+	}
+	pipe := pipeline.New(pipeline.Config{
+		Store: NewTiered(pipeline.NewMemStore(pipeline.MemConfig{}), NewTiered(p, disk)),
+	})
+	defer pipe.Close()
+	got, hit, err := pipe.Schedule(plan.Schedule.Graph, plan.Opts, plan.Iterations)
+	if err != nil || hit {
+		t.Fatalf("Schedule: hit=%v err=%v", hit, err)
+	}
+	if got.Rate() != plan.Rate() || pipe.Stats().Computes != 1 {
+		t.Fatalf("local compute: rate %v, stats %+v", got.Rate(), pipe.Stats())
+	}
+	if s := p.ClusterStats(); s.FillErrors != 1 || s.Fills != 0 {
+		t.Fatalf("cluster stats = %+v", s)
+	}
+}
+
 func TestPeerStore404IsAMissNotAFailure(t *testing.T) {
 	tr := newPeerTransport()
 	p := newTestPeer(t, tr)

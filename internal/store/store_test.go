@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -431,6 +432,62 @@ func TestMeasuredAnnotationPersists(t *testing.T) {
 	}
 	if *got != *want {
 		t.Fatalf("measured annotation drifted across restart: %+v vs %+v", got, want)
+	}
+}
+
+// TestDiskStoreServesV4Records: a disk store over a directory of the
+// records the version-4 encoder wrote (internal/pipeline/testdata)
+// serves /v1/schedule from them — the same schedule bytes, the
+// annotations kept — and computes nothing.
+func TestDiskStoreServesV4Records(t *testing.T) {
+	dir := t.TempDir()
+	records := map[string][]byte{}
+	for _, name := range []string{"v4-figure7-n20.json", "v4-streams-grain4-n24.json", "v4-figure7-sim-gort-n10.json"} {
+		rec, err := os.ReadFile(filepath.Join("..", "pipeline", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _, err := pipeline.DecodePlan(rec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fileName(key)), rec, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		records[name] = rec
+	}
+	streams := "loop streams(N = 24) {\n" +
+		"    s0n0[i] = s0n0[i-1]\n" +
+		"    s0n1[i] = s0n1[i-1] + s0n0[i]\n" +
+		"    s0n2[i] = s0n2[i-1] + s0n1[i]\n" +
+		"    s0n3[i] = s0n3[i-1] + s0n2[i]\n" +
+		"}\n"
+	p := newTieredPipeline(t, dir)
+	defer p.Close()
+	srv := pipeline.NewServer(p)
+	for name, req := range map[string]string{
+		"v4-figure7-n20.json":          fmt.Sprintf(`{"source": %q, "processors": 2, "iterations": 20}`, workload.Figure7Source),
+		"v4-streams-grain4-n24.json":   fmt.Sprintf(`{"source": %q, "processors": 2, "iterations": 24, "grain": 4}`, streams),
+		"v4-figure7-sim-gort-n10.json": fmt.Sprintf(`{"source": %q, "processors": 2, "iterations": 10}`, workload.Figure7Source),
+	} {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule", strings.NewReader(req)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %.200s", name, w.Code, w.Body)
+		}
+		var reply, rec map[string]json.RawMessage
+		if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(records[name], &rec); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reply["schedule"], rec["schedule"]) || !bytes.Equal(reply["measured_by"], rec["measured_by"]) {
+			t.Fatalf("%s: the reply's schedule or annotations differ from the record's", name)
+		}
+	}
+	if s := p.Stats(); s.Computes != 0 || s.Hits != 3 {
+		t.Fatalf("serving the version-4 records: %+v", s)
 	}
 }
 
