@@ -90,7 +90,9 @@ func TestScheduleUnwoundSemanticsPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mimdrt.Run(g, progs, mimdrt.MixSemantics{})
+	r := mimdrt.NewRunner(g, progs, mimdrt.MixSemantics{})
+	defer r.Close()
+	got, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

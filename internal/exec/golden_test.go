@@ -18,8 +18,8 @@ import (
 // Streams and Braid families, the paper's figures, Livermore 18 and the
 // elliptic filter, each lowered at grain 0 and at the smallest grain
 // G > 1 that chunks it. For each, the exact program set the sim backend
-// times must (a) execute on the goroutine runtime (mimdrt.Run, or
-// mimdrt.RunChunked in chunk space) computing instance values identical
+// times must (a) execute on the goroutine runtime (a mimdrt Runner, in
+// chunk space at G > 1) computing instance values identical
 // to mimdrt.Sequential — the gort backend's own cross-check, exercised
 // here end to end — and (b) run deadlock-free on the simulated machine,
 // so both backends agree the programs are well-formed. Values are also
@@ -76,12 +76,9 @@ func TestGoldenGortMatchesSequentialOnRandomSuite(t *testing.T) {
 			}
 
 			// (a) Goroutine execution computes the sequential values.
-			var got map[graph.InstanceID]float64
-			if grain > 1 {
-				got, err = mimdrt.RunChunked(g, progs, mimdrt.MixSemantics{}, grain, iters)
-			} else {
-				got, err = mimdrt.Run(g, progs, mimdrt.MixSemantics{})
-			}
+			r := mimdrt.NewChunkedRunner(g, progs, mimdrt.MixSemantics{}, grain, iters)
+			got, err := r.Run()
+			r.Close()
 			if err != nil {
 				t.Fatalf("%s: gort run: %v", name, err)
 			}

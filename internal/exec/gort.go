@@ -58,7 +58,7 @@ func (Goroutine) RunTrials(g *graph.Graph, progs []program.Program, iterations i
 		Trials:     cfg.Trials,
 		Makespans:  make([]float64, 0, cfg.Trials),
 		Sequential: seq,
-		Messages:   countSends(progs),
+		Messages:   program.Summarize(progs).Sends,
 	}
 	for t := 0; t < cfg.Trials; t++ {
 		t0 := time.Now()
@@ -76,11 +76,17 @@ func (Goroutine) RunTrials(g *graph.Graph, progs []program.Program, iterations i
 }
 
 // seqBaselines memoizes timed sequential interpretations keyed by
-// (graph, iterations). A tune evaluates one such pair across its whole
-// grid, so without memoization every grid point would re-run two full
-// sequential passes — half the measured work — and, worse, each point's
-// Sp would divide by its own independently-jittered baseline, making
-// identical plans score differently for baseline-noise reasons alone.
+// (graph content, iterations). A tune evaluates one such pair across its
+// whole grid, so without memoization every grid point would re-run two
+// full sequential passes — half the measured work — and, worse, each
+// point's Sp would divide by its own independently-jittered baseline,
+// making identical plans score differently for baseline-noise reasons
+// alone. The key is the graph's fingerprint, not its pointer: a plan
+// decoded from a store brings its own copy of the graph and must share
+// the baseline of the plan it was encoded from. MixSemantics values
+// depend only on what the fingerprint hashes — graph.New orders each
+// node's incoming edges by (source, distance), and two edges that tie
+// there read the same value.
 // The map is capped (interleaved workloads, e.g. calibration probes
 // racing serving traffic, stay bounded) and a timed baseline is a
 // host-load-dependent measurement, so ResetSequentialBaselines exists
@@ -89,8 +95,8 @@ func (Goroutine) RunTrials(g *graph.Graph, progs []program.Program, iterations i
 const seqBaselineCap = 16
 
 type seqKey struct {
-	g     *graph.Graph
-	iters int
+	fingerprint string
+	iters       int
 }
 
 type seqEntry struct {
@@ -117,7 +123,7 @@ func ResetSequentialBaselines() {
 // of the sequential interpretation for (g, iterations), computing them
 // once per distinct pair (warm-up pass first, then the timed pass).
 func sequentialBaseline(g *graph.Graph, iterations int) (float64, []float64) {
-	key := seqKey{g, iterations}
+	key := seqKey{g.Fingerprint(), iterations}
 	seqBaselines.Lock()
 	defer seqBaselines.Unlock()
 	if e, ok := seqBaselines.entries[key]; ok {
@@ -136,17 +142,4 @@ func sequentialBaseline(g *graph.Graph, iterations int) (float64, []float64) {
 	}
 	seqBaselines.entries[key] = seqEntry{dur, want}
 	return dur, want
-}
-
-// countSends totals the cross-processor messages one pass sends.
-func countSends(progs []program.Program) int {
-	n := 0
-	for _, prog := range progs {
-		for _, in := range prog.Instrs {
-			if in.Kind == program.OpSend {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -203,7 +203,9 @@ func TestIfConvertedLoopSchedulesAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mimdrt.Run(c.Graph, progs, c)
+	r := mimdrt.NewRunner(c.Graph, progs, c)
+	defer r.Close()
+	got, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +235,9 @@ func TestFigure7EndToEndValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mimdrt.Run(c.Graph, progs, c)
+	r := mimdrt.NewRunner(c.Graph, progs, c)
+	defer r.Close()
+	got, err := r.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

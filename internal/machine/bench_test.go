@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -31,6 +32,32 @@ func BenchmarkSimulatedRun(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(progs[0].Instrs)+len(progs[1].Instrs))/1000, "instrs/iter")
+}
+
+// BenchmarkWire wires the figure 7 plan (p = 2, k = 2) for the simulator
+// at 60 and 1,000 iterations: the set check, the message slots and the
+// run state that every sim or csim evaluation builds before its first
+// trial.
+func BenchmarkWire(b *testing.B) {
+	g := figure7(b)
+	for _, n := range []int{60, 1000} {
+		ls, err := core.ScheduleLoop(g, core.Options{Processors: 2, CommCost: 2}, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs, err := program.Build(ls.Full)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := wire(g, progs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // table1Plan is one of the Table 1 plans the measured tunes evaluate:

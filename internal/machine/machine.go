@@ -171,8 +171,8 @@ type sim struct {
 	// instruction sends holds -1: it blocks, and the run deadlocks.
 	slot  []int32
 	start []int
-	// link holds each slot's link: the index of its (from, to) pair
-	// among the pairs that carry a message, for LinkFIFO.
+	// link holds each slot's link, program.Check's numbering of the
+	// (from, to) pairs that carry a message, for LinkFIFO.
 	link []int32
 
 	// arrival is each slot's arrival cycle, valid once sent is set.
@@ -184,42 +184,21 @@ type sim struct {
 	pc, clock  []int
 }
 
-// wire checks and wires progs for running on g. Before allocating
-// anything sized by their iterations, it refuses a program set with an
-// instruction whose node is outside g or whose iteration is negative, a
-// SEND or RECV whose peer is not a processor of the set, or iterations
-// spanning more than max(8·instructions, 1<<20) instance slots
-// (plan.ErrSparse's bound). program.Build never emits such a set, and
-// the plan record decoder range-checks every instruction it reads.
+// wire checks and wires progs for running on g. program.Check refuses
+// the sets the simulator would index out of range with, before anything
+// is allocated for their iterations. A SEND to its own processor is
+// not refused: the simulator runs it like any other.
 func wire(g *graph.Graph, progs []program.Program) (*sim, error) {
-	nodes, n := g.N(), len(progs)
-	start := make([]int, n+1)
-	total, sends, maxIter := 0, 0, -1
-	for p, pr := range progs {
-		for i, in := range pr.Instrs {
-			msg := in.Kind == program.OpSend || in.Kind == program.OpRecv
-			if in.Node < 0 || in.Node >= nodes || in.Iter < 0 || msg && (in.Peer < 0 || in.Peer >= n) {
-				return nil, fmt.Errorf("%w: PE%d instr %d (%s node=%d iter=%d peer=%d) outside %d nodes and %d processors",
-					errMalformed, p, i, in.Kind, in.Node, in.Iter, in.Peer, nodes, n)
-			}
-			maxIter = max(maxIter, in.Iter)
-			if in.Kind == program.OpSend {
-				sends++
-			}
-		}
-		total += len(pr.Instrs)
-		start[p+1] = total
-	}
-	if limit := max(8*total, 1<<20); nodes > 0 && maxIter >= limit/nodes {
-		return nil, fmt.Errorf("%w: iteration %d of %d nodes for %d instructions is past the %d-slot bound",
-			errMalformed, maxIter, nodes, total, limit)
+	lay, err := program.Check(g, progs, errMalformed)
+	if err != nil {
+		return nil, err
 	}
 
 	// Each instance (node, iter) heads, at iter*N + node, a list of the
 	// messages carrying its value, linked through next.
 	type message struct{ from, to, next int32 }
-	msgs := make([]message, 0, sends)
-	heads := plan.NewTable(nodes, maxIter+1)
+	msgs := make([]message, 0, lay.Sends)
+	heads := plan.NewTable(g.N(), lay.MaxIter+1)
 	find := func(node, iter, from, to int) int32 {
 		for m := heads.Get(node, iter); m >= 0; m = int(msgs[m].next) {
 			if int(msgs[m].from) == from && int(msgs[m].to) == to {
@@ -228,13 +207,11 @@ func wire(g *graph.Graph, progs []program.Program) (*sim, error) {
 		}
 		return -1
 	}
-	s := &sim{g: g, progs: progs, slot: make([]int32, total), start: start, link: make([]int32, 0, sends)}
-	// Every SEND is wired before any RECV. Links are numbered per
-	// sender: linkTo[q] is the current sender's link to q when
-	// linkFor[q] is that sender plus one.
-	linkFor, linkTo := make([]int32, n), make([]int32, n)
-	links := 0
+	// The slots overwrite lay.Link: a SEND's link is read first.
+	s := &sim{g: g, progs: progs, slot: lay.Link, start: lay.Start, link: make([]int32, 0, lay.Sends)}
+	// Every SEND is wired before any RECV.
 	for p, pr := range progs {
+		slot := s.slot[lay.Start[p]:lay.Start[p+1]]
 		for i, in := range pr.Instrs {
 			if in.Kind != program.OpSend {
 				continue
@@ -244,25 +221,22 @@ func wire(g *graph.Graph, progs []program.Program) (*sim, error) {
 				m = int32(len(msgs))
 				msgs = append(msgs, message{int32(p), int32(in.Peer), int32(heads.Get(in.Node, in.Iter))})
 				heads.Set(in.Node, in.Iter, int(m))
-				if linkFor[in.Peer] != int32(p+1) {
-					linkFor[in.Peer], linkTo[in.Peer] = int32(p+1), int32(links)
-					links++
-				}
-				s.link = append(s.link, linkTo[in.Peer])
+				s.link = append(s.link, slot[i])
 			}
-			s.slot[start[p]+i] = m
+			slot[i] = m
 		}
 	}
 	for p, pr := range progs {
+		slot := s.slot[lay.Start[p]:lay.Start[p+1]]
 		for i, in := range pr.Instrs {
 			if in.Kind == program.OpRecv {
-				s.slot[start[p]+i] = find(in.Node, in.Iter, in.Peer, p)
+				slot[i] = find(in.Node, in.Iter, in.Peer, p)
 			}
 		}
 	}
 	s.arrival, s.sent = make([]int, len(msgs)), make([]bool, len(msgs))
-	s.lastOnLink = make([]int, links)
-	s.pc, s.clock = make([]int, n), make([]int, n)
+	s.lastOnLink = make([]int, len(lay.Links))
+	s.pc, s.clock = make([]int, len(progs)), make([]int, len(progs))
 	return s, nil
 }
 

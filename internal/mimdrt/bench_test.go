@@ -1,6 +1,7 @@
 package mimdrt
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -28,9 +29,34 @@ func BenchmarkGoroutineExecution(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, progs, MixSemantics{}); err != nil {
+		if _, err := runOnce(g, progs, 0, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWire wires the figure 7 plan (p = 2, k = 2) for the goroutine
+// runtime at 60 and 1,000 iterations: the set check, the link layout and
+// the replay that NewRunner does once per program set, before any pass.
+func BenchmarkWire(b *testing.B) {
+	g := figure7(b)
+	for _, n := range []int{60, 1000} {
+		ls, err := core.ScheduleLoop(g, core.Options{Processors: 2, CommCost: 2}, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs, err := program.Build(ls.Full)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := wire(g, progs, 0, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

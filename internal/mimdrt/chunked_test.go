@@ -27,10 +27,11 @@ func chunkedProgs(t testing.TB, g *graph.Graph, grain, n, procs int) []program.P
 	return progs
 }
 
-// TestRunChunkedMatchesSequential pins chunked execution against the
+// TestChunkedRunnerMatchesSequential pins chunked execution against the
 // sequential ground truth across grains, including grains that leave a
-// partial final chunk and grains larger than the iteration count.
-func TestRunChunkedMatchesSequential(t *testing.T) {
+// partial final chunk and grains larger than the iteration count, on
+// every pass of a reused Runner.
+func TestChunkedRunnerMatchesSequential(t *testing.T) {
 	streams, err := workload.Streams(2, 4, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -46,43 +47,24 @@ func TestRunChunkedMatchesSequential(t *testing.T) {
 		for _, grain := range []int{2, 3, 4, 8, 16, 64} {
 			for _, n := range []int{1, 7, 16, 41} {
 				progs := chunkedProgs(t, g, grain, n, 2)
-				got, err := RunChunked(g, progs, MixSemantics{}, grain, n)
-				if err != nil {
-					t.Fatalf("grain %d n %d: %v", grain, n, err)
+				want := Sequential(g, MixSemantics{}, n)
+				r := NewChunkedRunner(g, progs, MixSemantics{}, grain, n)
+				for pass := 0; pass < 2; pass++ {
+					got, err := r.Run()
+					if err != nil {
+						t.Fatalf("grain %d n %d pass %d: %v", grain, n, pass, err)
+					}
+					valuesEqual(t, got, want)
 				}
-				valuesEqual(t, got, Sequential(g, MixSemantics{}, n))
+				r.Close()
 			}
 		}
 	}
 }
 
-// TestChunkedRunnerMatchesRunChunked pins the reusable-worker runner
-// against the one-shot entry point on the same chunked program.
-func TestChunkedRunnerMatchesRunChunked(t *testing.T) {
-	g, err := workload.Streams(1, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const grain, n = 4, 30
-	progs := chunkedProgs(t, g, grain, n, 2)
-	want, err := RunChunked(g, progs, MixSemantics{}, grain, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewChunkedRunner(g, progs, MixSemantics{}, grain, n)
-	defer r.Close()
-	for trial := 0; trial < 3; trial++ {
-		got, err := r.Run()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		valuesEqual(t, got, want)
-	}
-}
-
 // TestChunkedRunnerGrainOneIsPlainRun pins the degenerate contract:
 // grain <= 1 means no fusion, and NewChunkedRunner on an ungrained
-// program behaves exactly like Run.
+// program behaves exactly like NewRunner.
 func TestChunkedRunnerGrainOneIsPlainRun(t *testing.T) {
 	g := figure7(t)
 	ls, err := core.ScheduleLoop(g, core.Options{Processors: 2, CommCost: 2}, 12)
@@ -93,7 +75,9 @@ func TestChunkedRunnerGrainOneIsPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(g, progs, MixSemantics{})
+	plain := NewRunner(g, progs, MixSemantics{})
+	defer plain.Close()
+	want, err := plain.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

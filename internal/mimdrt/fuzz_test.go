@@ -15,8 +15,8 @@ import (
 )
 
 // FuzzExecute decodes program sets for the figure 7 graph from the wire
-// format, as FuzzSimulate does, and runs them on Run and on a chunked
-// Runner at a fuzzed grain of 2–8. Nothing may panic, and a set that
+// format, as FuzzSimulate does, and runs them on a Runner and on a
+// chunked Runner at a fuzzed grain of 2–8. Nothing may panic, and a set that
 // machine.Run completes must not block: the runtime's waits are a subset
 // of the simulator's. Every value the runtime returns must equal
 // Sequential's at that instance, which holds by induction over operands.
@@ -100,15 +100,20 @@ func runWithin(t *testing.T, g *graph.Graph, r *Runner, completes bool) {
 }
 
 // TestRunRefusesMalformed: a program set that would crash the runtime
-// or block it forever gets an error from Run and RunChunked, never a
-// panic or a hang, and the refusal of a sparse set allocates nothing
-// sized by its span.
+// or block it forever gets an error from NewRunner's and
+// NewChunkedRunner's runners, never a panic or a hang, and the refusal
+// of a sparse set allocates nothing sized by its span.
 func TestRunRefusesMalformed(t *testing.T) {
 	g := figure7(t)
 	a0 := program.Instr{Kind: program.OpCompute, Node: 0, Iter: 0}
 	pe := func(ins ...program.Instr) []program.Instr { return ins }
 	set := func(pe0, pe1 []program.Instr) []program.Program {
 		return []program.Program{{Proc: 0, Instrs: pe0}, {Proc: 1, Instrs: pe1}}
+	}
+	pass := func(r *Runner) error {
+		defer r.Close()
+		_, err := r.Run()
+		return err
 	}
 	for name, progs := range map[string][]program.Program{
 		"send to processor 5 of 2":    set(pe(a0, program.Instr{Kind: program.OpSend, Peer: 5}), nil),
@@ -125,8 +130,8 @@ func TestRunRefusesMalformed(t *testing.T) {
 		"span just past the bound":    set(pe(program.Instr{Kind: program.OpSend, Iter: 1 << 20 / 5, Peer: 1}), nil),
 	} {
 		for _, run := range []func() error{
-			func() error { _, err := Run(g, progs, MixSemantics{}); return err },
-			func() error { _, err := RunChunked(g, progs, MixSemantics{}, 4, 1); return err },
+			func() error { return pass(NewRunner(g, progs, MixSemantics{})) },
+			func() error { return pass(NewChunkedRunner(g, progs, MixSemantics{}, 4, 1)) },
 		} {
 			done := make(chan error, 1)
 			go func() { done <- run() }()
@@ -144,7 +149,7 @@ func TestRunRefusesMalformed(t *testing.T) {
 	// The last iteration inside the bound is not refused for its span
 	// (its operands are missing, which is a different error).
 	inside := set(pe(program.Instr{Kind: program.OpCompute, Iter: 1<<20/5 - 1}), nil)
-	if _, err := Run(g, inside, MixSemantics{}); err == nil || errors.Is(err, errMalformed) {
+	if err := pass(NewRunner(g, inside, MixSemantics{})); err == nil || errors.Is(err, errMalformed) {
 		t.Fatalf("iteration inside the slot bound: error %v, want a missing-operand error", err)
 	}
 
@@ -152,10 +157,10 @@ func TestRunRefusesMalformed(t *testing.T) {
 		return
 	}
 	sparse := set(pe(program.Instr{Kind: program.OpCompute, Iter: 1 << 40}), nil)
-	allocs := testing.AllocsPerRun(10, func() { _, _ = Run(g, sparse, MixSemantics{}) })
+	allocs := testing.AllocsPerRun(10, func() { _ = pass(NewRunner(g, sparse, MixSemantics{})) })
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _ = Run(g, set(pe(program.Instr{Kind: program.OpSend, Iter: 1 << 20 / 5, Peer: 1}), nil), MixSemantics{})
+	_ = pass(NewRunner(g, set(pe(program.Instr{Kind: program.OpSend, Iter: 1 << 20 / 5, Peer: 1}), nil), MixSemantics{}))
 	runtime.ReadMemStats(&after)
 	bytes := after.TotalAlloc - before.TotalAlloc
 	t.Logf("refusal: %.0f allocs, %d bytes", allocs, bytes)

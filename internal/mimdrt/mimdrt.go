@@ -8,14 +8,11 @@
 // A program set is wired once (see wire): every value a processor holds
 // gets a slot in that processor's own value array, and every instruction
 // is resolved to slots and links, so a pass indexes flat slices and never
-// hashes an instance. The map results of Run, RunChunked, Runner.Run and
-// Sequential are built from those slots at the edge.
+// hashes an instance. The map results of Runner.Run and Sequential are
+// built from those slots at the edge.
 package mimdrt
 
-import (
-	"mimdloop/internal/graph"
-	"mimdloop/internal/program"
-)
+import "mimdloop/internal/graph"
 
 // Semantics supplies the meaning of nodes so programs can run over real
 // data.
@@ -28,30 +25,6 @@ type Semantics interface {
 	// Boundary supplies the value read through edge e when the source
 	// iteration iter - e.Distance is negative (loop-entry state).
 	Boundary(e graph.Edge, iter int) float64
-}
-
-// Run executes the programs concurrently and returns every computed value
-// keyed by instance. It refuses a program set that would crash or block
-// on its own (see wire) and one in which a processor needs a value it
-// never computed or received, without running it. It is one pass of a
-// Runner; for repeated executions of the same programs — a trial harness
-// timing run after run — keep the Runner, which keeps the wiring, the
-// processor goroutines and the link channels alive across runs.
-func Run(g *graph.Graph, progs []program.Program, sem Semantics) (map[graph.InstanceID]float64, error) {
-	r := NewRunner(g, progs, sem)
-	defer r.Close()
-	return r.Run()
-}
-
-// RunChunked executes a grain-chunked program set (instructions in chunk
-// space, per plan.Schedule with Grain = grain) for a loop of iters real
-// iterations, and returns every computed value keyed by REAL iteration —
-// directly comparable to Sequential(g, sem, iters). The graph must be
-// the original (un-chunked) dependence graph.
-func RunChunked(g *graph.Graph, progs []program.Program, sem Semantics, grain, iters int) (map[graph.InstanceID]float64, error) {
-	r := NewChunkedRunner(g, progs, sem, grain, iters)
-	defer r.Close()
-	return r.Run()
 }
 
 // Sequential interprets all n iterations in body order on one processor —

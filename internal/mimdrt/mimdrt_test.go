@@ -34,6 +34,14 @@ func figure7(t testing.TB) *graph.Graph {
 	return g
 }
 
+// runOnce executes one pass of progs on a fresh Runner, chunked at grain
+// for iters real iterations when grain > 1, and returns its values.
+func runOnce(g *graph.Graph, progs []program.Program, grain, iters int) (map[graph.InstanceID]float64, error) {
+	r := NewChunkedRunner(g, progs, MixSemantics{}, grain, iters)
+	defer r.Close()
+	return r.Run()
+}
+
 func valuesEqual(t testing.TB, got, want map[graph.InstanceID]float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -65,7 +73,7 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(g, progs, MixSemantics{})
+	got, err := runOnce(g, progs, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +90,7 @@ func TestDoacrossExecutionMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(g, progs, MixSemantics{})
+	got, err := runOnce(g, progs, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +103,7 @@ func TestRunReportsInvalidProgram(t *testing.T) {
 	progs := []program.Program{
 		{Proc: 0, Instrs: []program.Instr{{Kind: program.OpCompute, Node: 1, Iter: 0}}},
 	}
-	if _, err := Run(g, progs, MixSemantics{}); err == nil {
+	if _, err := runOnce(g, progs, 0, 0); err == nil {
 		t.Fatal("invalid program accepted")
 	}
 	// A send of an unknown value.
@@ -103,19 +111,19 @@ func TestRunReportsInvalidProgram(t *testing.T) {
 		{Proc: 0, Instrs: []program.Instr{{Kind: program.OpSend, Node: 0, Iter: 0, Peer: 1}}},
 		{Proc: 1},
 	}
-	if _, err := Run(g, progs, MixSemantics{}); err == nil {
+	if _, err := runOnce(g, progs, 0, 0); err == nil {
 		t.Fatal("send of unknown value accepted")
 	}
 	// A processor that fails while its peer waits on a message from it:
-	// the peer must be released, so Run returns the failure instead of
-	// blocking forever.
+	// the peer must be released, so the pass returns the failure instead
+	// of blocking forever.
 	progs = []program.Program{
 		{Proc: 0, Instrs: []program.Instr{{Kind: program.OpCompute, Node: 1, Iter: 0}}},
 		{Proc: 1, Instrs: []program.Instr{{Kind: program.OpRecv, Node: 0, Iter: 0, Peer: 0}}},
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(g, progs, MixSemantics{})
+		_, err := runOnce(g, progs, 0, 0)
 		done <- err
 	}()
 	select {
@@ -124,7 +132,7 @@ func TestRunReportsInvalidProgram(t *testing.T) {
 			t.Fatal("failed processor accepted")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Run still blocked 10 s after PE0 failed while PE1 waited on it")
+		t.Fatal("the pass still blocked 10 s after PE0 failed while PE1 waited on it")
 	}
 }
 
@@ -158,7 +166,7 @@ func TestPropertyFullPipelineSemanticsPreserved(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		got, err := Run(g, progs, MixSemantics{})
+		got, err := runOnce(g, progs, 0, 0)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

@@ -65,23 +65,26 @@ type message struct {
 
 // wire checks progs and resolves them for running on g, in chunk space
 // of grain grain for iters real iterations when grain > 1, one iteration
-// per instruction otherwise.
+// per instruction otherwise. It walks the instructions three times.
 //
-// Before allocating anything sized by iterations, it refuses a program
-// set with an instruction whose node is outside g or whose iteration is
-// negative, a SEND or RECV whose peer is not a processor of the set, a
-// SEND to its own processor, or iterations spanning more than
-// max(8·instructions, 1<<20) instance slots (plan.ErrSparse's bound).
-// Then it replays each processor's program against one shared table of
-// what that processor holds, which the wired program needs anyway, and
-// refuses a RECV that neither finds its value present nor finds it in
-// the rest of its link (the pass would block forever), a COMPUTE whose
-// operand is not present and a SEND of a value that is not. Each link
-// carries its sender's SENDs in program order, and a RECV drains it up
-// to the wanted message, keeping every value it reads. program.Build
-// never emits a set wire refuses.
+// program.Check refuses the sets the runtime would index out of range
+// with, before anything is allocated for their iterations, and numbers
+// the links. The second walk lays each link's messages out in send order,
+// refuses a SEND to its own processor and sizes each processor's wired
+// program. The third replays each processor's program against one
+// shared table of what that processor holds, which the wired program
+// needs anyway, and refuses a RECV that neither finds its value present
+// nor finds it in the rest of its link (the pass would block forever), a
+// COMPUTE whose operand is not present and a SEND of a value that is
+// not. Each link carries its sender's SENDs in program order, and a RECV
+// drains it up to the wanted message, keeping every value it reads.
+// program.Build never emits a set wire refuses.
 func wire(g *graph.Graph, progs []program.Program, grain, iters int) ([]proc, []chan message, error) {
-	nodes, np := g.N(), len(progs)
+	lay, err := program.Check(g, progs, errMalformed)
+	if err != nil {
+		return nil, nil, err
+	}
+	nodes, np, nl := g.N(), len(progs), len(lay.Links)
 	plain := grain <= 1
 	unit, chunks := "iter", 0
 	if plain {
@@ -100,104 +103,68 @@ func wire(g *graph.Graph, progs []program.Program, grain, iters int) ([]proc, []
 		return c * grain, min(grain, iters-c*grain)
 	}
 
-	total, sends, maxIter := 0, 0, -1
+	// msgs holds every link's messages in send order, link l's from
+	// first[l]. put[l] is where link l's next SEND goes, and taken[l]
+	// how far its receiver has drained it.
+	cur := make([]int, 3*nl+1)
+	first, put, taken := cur[:nl+1], cur[nl+1:2*nl+1], cur[2*nl+1:]
+	// The links into processor p are linked from into[p] through
+	// nextInto; inLink[q] is the current receiver's link from q, or -1.
+	idx := make([]int32, 2*np+nl)
+	into, inLink, nextInto := idx[:np], idx[np:2*np], idx[2*np:]
+	for p := range into {
+		into[p], inLink[p] = -1, -1
+	}
+	for l, ln := range lay.Links {
+		first[l+1] = first[l] + int(ln.Sends)
+		nextInto[l], into[ln.To] = into[ln.To], int32(l)
+	}
+	copy(put, first)
+	type chunkRef struct{ node, chunk int }
+	msgs := make([]chunkRef, lay.Sends)
+	procs := make([]proc, np)
 	for p, pr := range progs {
+		link := lay.Link[lay.Start[p]:lay.Start[p+1]]
+		nops, nopnd := 0, 0
 		for i, in := range pr.Instrs {
-			msg := in.Kind == program.OpSend || in.Kind == program.OpRecv
-			if in.Node < 0 || in.Node >= nodes || in.Iter < 0 || msg && (in.Peer < 0 || in.Peer >= np) {
-				return nil, nil, fmt.Errorf("%w: PE%d instr %d (%s node=%d iter=%d peer=%d) outside %d nodes and %d processors",
-					errMalformed, p, i, in.Kind, in.Node, in.Iter, in.Peer, nodes, np)
-			}
-			if in.Kind == program.OpSend {
+			switch in.Kind {
+			case program.OpCompute:
+				_, n := span(in.Iter)
+				nopnd += n * len(g.In(in.Node))
+			case program.OpSend:
 				if in.Peer == p {
 					return nil, nil, fmt.Errorf("%w: PE%d instr %d sends (%s, %s %d) to its own processor",
 						errMalformed, p, i, g.Nodes[in.Node].Name, unit, in.Iter)
 				}
-				sends++
-			}
-			maxIter = max(maxIter, in.Iter)
-		}
-		total += len(pr.Instrs)
-	}
-	if limit := max(8*total, 1<<20); nodes > 0 && maxIter >= limit/nodes {
-		return nil, nil, fmt.Errorf("%w: %s %d of %d nodes for %d instructions is past the %d-slot bound",
-			errMalformed, unit, maxIter, nodes, total, limit)
-	}
-
-	// Links are numbered per sender: linkTo[q] is the current sender's
-	// link to q when linkFor[q] is that sender plus one. msgs holds every
-	// link's messages in send order, link l's from first[l].
-	linkFor, linkTo := make([]int32, np), make([]int32, np)
-	sendLink := make([]int32, 0, sends)
-	var from, to []int32
-	for p, pr := range progs {
-		for _, in := range pr.Instrs {
-			if in.Kind != program.OpSend {
-				continue
-			}
-			if linkFor[in.Peer] != int32(p+1) {
-				linkFor[in.Peer], linkTo[in.Peer] = int32(p+1), int32(len(from))
-				from, to = append(from, int32(p)), append(to, int32(in.Peer))
-			}
-			sendLink = append(sendLink, linkTo[in.Peer])
-		}
-	}
-	first := make([]int, len(from)+1)
-	for _, l := range sendLink {
-		first[l+1]++
-	}
-	for l := range from {
-		first[l+1] += first[l]
-	}
-	type chunkRef struct{ node, chunk int }
-	msgs, sendPos := make([]chunkRef, sends), make([]int, sends)
-	cursor := append([]int(nil), first[:len(from)]...)
-	sent := 0
-	for _, pr := range progs {
-		for _, in := range pr.Instrs {
-			if in.Kind == program.OpSend {
-				l := sendLink[sent]
-				msgs[cursor[l]], sendPos[sent] = chunkRef{in.Node, in.Iter}, cursor[l]
-				cursor[l]++
-				sent++
-			}
-		}
-	}
-	// cursor[l] is now where link l's receiver has drained it to.
-	copy(cursor, first)
-	// inLink[q] is the current receiver's link from q, or -1.
-	inLink := make([]int32, np)
-	for q := range inLink {
-		inLink[q] = -1
-	}
-	byTo := make([][]int32, np)
-	for l, q := range to {
-		byTo[q] = append(byTo[q], int32(l))
-	}
-
-	// owner[c*N + v] is p+1 while processor p is replayed and holds chunk
-	// (v, c), whose first value slot is then base[c*N + v].
-	owner, base := make([]int32, (maxIter+1)*nodes), make([]int32, (maxIter+1)*nodes)
-	procs, deg := make([]proc, np), maxInDegree(g)
-	sent = 0
-	for p, pr := range progs {
-		w := &procs[p]
-		self := int32(p + 1)
-		nops, nopnd := 0, 0
-		for _, l := range byTo[p] {
-			inLink[from[l]] = l
-			nops += first[l+1] - first[l]
-		}
-		for _, in := range pr.Instrs {
-			if in.Kind == program.OpCompute {
-				_, n := span(in.Iter)
-				nopnd += n * len(g.In(in.Node))
+				l := link[i]
+				msgs[put[l]] = chunkRef{in.Node, in.Iter}
+				put[l]++
 			}
 			if in.Kind != program.OpRecv {
 				nops++
 			}
 		}
-		w.ops, w.opnd = make([]op, 0, nops), make([]int32, 0, nopnd)
+		for l := into[p]; l >= 0; l = nextInto[l] {
+			nops += int(lay.Links[l].Sends)
+		}
+		procs[p].ops, procs[p].opnd = make([]op, 0, nops), make([]int32, 0, nopnd)
+	}
+	copy(put, first)
+	copy(taken, first)
+
+	// owner[c*N + v] is p+1 while processor p is replayed and holds chunk
+	// (v, c), whose first value slot is then base[c*N + v].
+	size := (lay.MaxIter + 1) * nodes
+	tab := make([]int32, 2*size)
+	owner, base := tab[:size], tab[size:]
+	deg := maxInDegree(g)
+	for p, pr := range progs {
+		w := &procs[p]
+		link := lay.Link[lay.Start[p]:lay.Start[p+1]]
+		self := int32(p + 1)
+		for l := into[p]; l >= 0; l = nextInto[l] {
+			inLink[lay.Links[l].From] = l
+		}
 		slots := 0
 		hold := func(idx, n int) int32 {
 			if owner[idx] != self {
@@ -206,7 +173,7 @@ func wire(g *graph.Graph, progs []program.Program, grain, iters int) ([]proc, []
 			}
 			return base[idx]
 		}
-		for _, in := range pr.Instrs {
+		for i, in := range pr.Instrs {
 			idx := in.Iter*nodes + in.Node
 			switch in.Kind {
 			case program.OpCompute:
@@ -217,24 +184,24 @@ func wire(g *graph.Graph, progs []program.Program, grain, iters int) ([]proc, []
 					b = base[idx]
 				}
 				off := len(w.opnd)
-				for i := lo; i < lo+n; i++ {
+				for it := lo; it < lo+n; it++ {
 					for _, ei := range g.In(in.Node) {
 						e := g.Edges[ei]
-						src := i - e.Distance
+						src := it - e.Distance
 						if src < 0 {
 							w.opnd = append(w.opnd, -1)
 							continue
 						}
 						sc := src / grain
 						switch sidx := sc*nodes + e.From; {
-						case fresh && sidx == idx && src < i:
+						case fresh && sidx == idx && src < it:
 							// An earlier iteration of the chunk being computed.
 							w.opnd = append(w.opnd, b+int32(src-lo))
 						case owner[sidx] == self:
 							w.opnd = append(w.opnd, base[sidx]+int32(src-sc*grain))
 						default:
 							return nil, nil, fmt.Errorf("mimdrt: PE%d: compute (%s, iter %d): operand (%s, iter %d) not available locally",
-								p, g.Nodes[in.Node].Name, i, g.Nodes[e.From].Name, src)
+								p, g.Nodes[in.Node].Name, it, g.Nodes[e.From].Name, src)
 						}
 					}
 				}
@@ -251,17 +218,18 @@ func wire(g *graph.Graph, progs []program.Program, grain, iters int) ([]proc, []
 				}
 				// off holds the message's position in msgs until every
 				// receiver has been replayed.
-				w.ops = append(w.ops, op{kind: opPut, n: int32(n), link: sendLink[sent], slot: slot, off: sendPos[sent]})
-				sent++
+				l := link[i]
+				w.ops = append(w.ops, op{kind: opPut, n: int32(n), link: l, slot: slot, off: put[l]})
+				put[l]++
 			case program.OpRecv:
 				if owner[idx] == self {
 					continue
 				}
 				l := inLink[in.Peer]
 				found := false
-				for l >= 0 && !found && cursor[l] < first[l+1] {
-					m := msgs[cursor[l]]
-					cursor[l]++
+				for l >= 0 && !found && taken[l] < first[l+1] {
+					m := msgs[taken[l]]
+					taken[l]++
 					_, n := span(m.chunk)
 					midx := m.chunk*nodes + m.node
 					w.ops = append(w.ops, op{kind: opTake, node: int32(m.node), n: int32(n), link: l, slot: hold(midx, n)})
@@ -273,8 +241,8 @@ func wire(g *graph.Graph, progs []program.Program, grain, iters int) ([]proc, []
 				}
 			}
 		}
-		for _, l := range byTo[p] {
-			inLink[from[l]] = -1
+		for l := into[p]; l >= 0; l = nextInto[l] {
+			inLink[lay.Links[l].From] = -1
 		}
 		if slots > math.MaxInt32 {
 			return nil, nil, fmt.Errorf("%w: PE%d holds %d values", errMalformed, p, slots)
@@ -286,9 +254,9 @@ func wire(g *graph.Graph, progs []program.Program, grain, iters int) ([]proc, []
 	// A put whose message no receive drained would fill its link for
 	// nothing; drop it. Every link is buffered to exactly the messages
 	// taken from it in one pass, so a put never blocks.
-	links := make([]chan message, len(from))
+	links := make([]chan message, nl)
 	for l := range links {
-		if c := cursor[l] - first[l]; c > 0 {
+		if c := taken[l] - first[l]; c > 0 {
 			links[l] = make(chan message, c)
 		}
 	}
@@ -297,7 +265,7 @@ func wire(g *graph.Graph, progs []program.Program, grain, iters int) ([]proc, []
 		kept, blocks := w.ops[:0], 0
 		for _, o := range w.ops {
 			if o.kind == opPut {
-				if o.off >= cursor[o.link] {
+				if o.off >= taken[o.link] {
 					continue
 				}
 				o.off = blocks

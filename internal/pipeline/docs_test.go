@@ -229,8 +229,8 @@ func TestArchitectureDocCoversCluster(t *testing.T) {
 // TestArchitectureDocCoversGranularity pins the "Granularity" section
 // of docs/ARCHITECTURE.md to the design it documents: the chunk-graph
 // fold and its infeasibility rule, the sticky chunk placement, the
-// chunked runtime, the legacy-key mirror and record-version break, the
-// serial fallback, and the adaptive acceptance experiment.
+// chunked runtime, the pre-grain key rendering and record-version
+// break, the serial fallback, and the adaptive acceptance experiment.
 func TestArchitectureDocCoversGranularity(t *testing.T) {
 	data, err := os.ReadFile("../../docs/ARCHITECTURE.md")
 	if err != nil {
@@ -240,8 +240,8 @@ func TestArchitectureDocCoversGranularity(t *testing.T) {
 	for _, fragment := range []string{
 		"## Granularity", "graph.Chunked", "infeasible",
 		"chunkLocality", "sticky", "TestChunkLocalityStickyPlacement",
-		"mimdrt.RunChunked", "chunk boundary",
-		"legacyKeyOptions", "|grainG", "version 4",
+		"mimdrt.NewChunkedRunner", "chunk boundary",
+		"PlanKey", "|grainG", "version 4",
 		"TestGrainStoreReplayZeroRecomputes",
 		"SerialThreshold", "SerialFallback",
 		"Table1Adaptive", "winner's curse", "TestTable1AdaptiveAcceptance",
@@ -267,7 +267,7 @@ func TestArchitectureDocCoversGoroutineRuntime(t *testing.T) {
 		"`Runner.Check` compares each processor's computed slots",
 		"checked once per program set",
 		"runs one wired", "grain 1 is a chunk of one iteration",
-		"**Runtime value slots.**", "never by processors × iterations",
+		"**Runtime value slots.**", "three walks", "never by processors × iterations",
 		"falls back to the abort-aware select",
 		"FuzzExecute", "TestPassAllocs", "TestRunnerMemoryBounded",
 	} {
@@ -338,8 +338,8 @@ func TestArchitectureDocCoversPlanWirePath(t *testing.T) {
 // TestArchitectureDocCoversSimulatorSlots pins the "Simulator message
 // slots" paragraph of the "Plan evaluation" section of
 // docs/ARCHITECTURE.md to the design it documents: slots wired once per
-// trial set through plan.Table, the inline FNV-64a, the malformed-program
-// refusal, and the references and tests that hold the simulator
+// trial set through plan.Table, the inline FNV-64a, the shared
+// program-set check, and the references and tests that hold the simulator
 // bit-identical.
 func TestArchitectureDocCoversSimulatorSlots(t *testing.T) {
 	data, err := os.ReadFile("../../docs/ARCHITECTURE.md")
@@ -351,7 +351,7 @@ func TestArchitectureDocCoversSimulatorSlots(t *testing.T) {
 	for _, fragment := range []string{
 		"**Simulator message slots.**", "(node, iter, from, to)", "plan.Table", "iter*N + node",
 		"slot -1", "once for all its trials", "hash.Hash64", "the seed's 8 bytes", "TrialSeed",
-		"max(8·instructions, 1<<20)", "ref_test.go", "TestRunMatchesReference",
+		"max(8·instructions, 1<<20)", "`program.Check`", "ref_test.go", "TestRunMatchesReference",
 		"TestSimulatorDigest", "FuzzSimulate", "TestTable1Golden",
 	} {
 		if !strings.Contains(eval, fragment) {

@@ -652,3 +652,35 @@ func TestPlanCodecDecodesV1(t *testing.T) {
 		t.Fatal("v1 schedule JSON not byte-identical")
 	}
 }
+
+// TestDecodedPlanSharesGortBaseline: a plan decoded from its own record
+// brings its own copy of the graph, and a gort evaluation of it divides
+// by the same memoized sequential baseline as the plan it was encoded
+// from, so a tune over a restarted server's stored grid ranks every
+// point against one measurement.
+func TestDecodedPlanSharesGortBaseline(t *testing.T) {
+	_, built := buildFig7Plan(t, 60)
+	data, err := EncodePlan(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, twin, err := DecodePlan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twin.Schedule.Graph == built.Schedule.Graph {
+		t.Fatal("the decoded plan shares the built plan's graph")
+	}
+	exec.ResetSequentialBaselines()
+	var seq []float64
+	for _, p := range []*Plan{built, twin} {
+		ts, err := exec.Goroutine{}.RunTrials(p.Schedule.Graph, p.Programs, p.Iterations, exec.TrialConfig{Trials: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq = append(seq, ts.Sequential)
+	}
+	if seq[0] != seq[1] {
+		t.Fatalf("built plan's sequential baseline %v ns, decoded twin's %v ns: one measurement each", seq[0], seq[1])
+	}
+}

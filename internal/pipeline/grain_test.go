@@ -59,21 +59,16 @@ func TestGrainOneNormalizedToZero(t *testing.T) {
 	}
 }
 
-// TestLegacyKeyOptionsMirror pins legacyKeyOptions against core.Options
-// drifting: the mirror must carry exactly the exported fields of
-// core.Options except Grain, in declaration order, with identical names
-// and types — that equality is what keeps the %+v rendering of grain-0
-// keys byte-identical to the pre-grain format. A new core.Options field
-// showing up here means: add it to legacyKeyOptions ONLY if plans are
-// allowed to alias across its values; otherwise mirror it and accept
-// that historical keys change (and say so in the codec version notes).
+// TestLegacyKeyOptionsMirror pins PlanKey against core.Options drifting:
+// the key renders the options field by field in the pre-grain %+v
+// format, so a field added to core.Options joins it only if PlanKey
+// writes it. Setting any exported field must change the key; a field
+// that does not means two option sets would share one plan. Add it to
+// PlanKey ONLY if plans are allowed to alias across its values;
+// otherwise render it and accept that historical keys change (and say
+// so in the codec version notes).
 func TestLegacyKeyOptionsMirror(t *testing.T) {
-	var legacyFields []reflect.StructField
-	lt := reflect.TypeOf(legacyKeyOptions{})
-	for i := 0; i < lt.NumField(); i++ {
-		legacyFields = append(legacyFields, lt.Field(i))
-	}
-	var optFields []reflect.StructField
+	zero := PlanKey("h", core.Options{}, 30)
 	ot := reflect.TypeOf(core.Options{})
 	for i := 0; i < ot.NumField(); i++ {
 		f := ot.Field(i)
@@ -83,19 +78,18 @@ func TestLegacyKeyOptionsMirror(t *testing.T) {
 			// by callers and must not join the key.
 			continue
 		}
-		if f.Name == "Grain" {
-			continue // joins the key as the explicit "|grainG" token
+		var o core.Options
+		v := reflect.ValueOf(&o).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int:
+			v.SetInt(7) // past 1, where Grain starts to count
+		case reflect.Bool:
+			v.SetBool(true)
+		default:
+			t.Fatalf("core.Options.%s has kind %s; teach PlanKey and this test to render it", f.Name, v.Kind())
 		}
-		optFields = append(optFields, f)
-	}
-	if len(legacyFields) != len(optFields) {
-		t.Fatalf("legacyKeyOptions has %d fields, core.Options minus Grain has %d",
-			len(legacyFields), len(optFields))
-	}
-	for i := range optFields {
-		if legacyFields[i].Name != optFields[i].Name || legacyFields[i].Type != optFields[i].Type {
-			t.Fatalf("field %d: mirror has %s %v, core.Options has %s %v",
-				i, legacyFields[i].Name, legacyFields[i].Type, optFields[i].Name, optFields[i].Type)
+		if got := PlanKey("h", o, 30); got == zero {
+			t.Errorf("setting core.Options.%s leaves the plan key %q unchanged", f.Name, got)
 		}
 	}
 }

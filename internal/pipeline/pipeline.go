@@ -24,8 +24,8 @@ package pipeline
 import (
 	"container/list"
 	"crypto/sha256"
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -375,85 +375,35 @@ func (p *Pipeline) Store() PlanStore { return p.store }
 
 // PlanKey derives the canonical store key of a plan from its three
 // ingredients: graph fingerprint, scheduling options, iteration count.
-// The whole Options struct is formatted (field names included) so a
-// field added to core.Options later joins the key automatically instead
-// of silently aliasing plans. Every producer — Schedule, Batch, Sweep,
-// AutoTune, Warmup — and every PlanStore uses exactly this derivation;
-// EncodePlan embeds it in durable records and DecodePlan re-derives it
-// to detect tampered or aliased records.
+// Every producer — Schedule, Batch, Sweep, AutoTune, Warmup — and every
+// PlanStore uses exactly this derivation; EncodePlan embeds it in
+// durable records and DecodePlan re-derives it to detect tampered or
+// aliased records.
+//
+// The options render field by field, byte-identical to fmt's %+v of
+// core.Options as it was before the Grain field, so every plan record
+// persisted before the grain axis keeps its key. Grain joins the key as
+// an explicit "|grainG" token only when set (> 1). Every exported field
+// of core.Options must appear here, so that no two option sets alias
+// one plan; TestLegacyKeyOptionsMirror sets each field in turn.
 func PlanKey(hash string, o core.Options, n int) string {
-	return hash + keySuffix(o, n)
-}
-
-// keySuffixes memoizes the formatted "|<options>|n<iterations>" tail of
-// plan keys: the reflective %+v rendering of Options costs several
-// allocations, and the serving hot path derives a key per request. The
-// cardinality of (options, iterations) pairs is tiny in practice (tune
-// grids and serving defaults); keySuffixCount stops inserting past a
-// ceiling anyway so pathological traffic cannot grow the map without
-// bound — over-cap pairs just pay the format cost per call.
-var (
-	keySuffixes    sync.Map // keySuffixKey -> string
-	keySuffixCount atomic.Int64
-)
-
-const maxKeySuffixes = 1 << 13
-
-type keySuffixKey struct {
-	o core.Options
-	n int
-}
-
-// legacyKeyOptions mirrors core.Options minus Grain, in field order, so
-// the %+v rendering of a grain-0 request is byte-identical to the
-// pre-grain key suffix — every plan record persisted before the grain
-// axis keeps its key, zero recomputes. Grain joins the key as an
-// explicit "|grainG" token only when set (> 1); a reflection test pins
-// the mirror against core.Options drifting.
-type legacyKeyOptions struct {
-	Processors    int
-	CommCost      int
-	CommFromStart bool
-	WindowHeight  int
-	MaxIterations int
-	AppendOnly    bool
-	FIFOOrder     bool
-	FoldNonCyclic bool
-	DriftBound    int
-}
-
-// keySuffix formats (and usually memoizes) the non-hash tail of a plan
-// key: byte-identical to the historical fmt.Sprintf("|%+v|n%d", o, n)
-// for Grain <= 1, with a "|grainG" token spliced before the iteration
-// count otherwise.
-func keySuffix(o core.Options, n int) string {
-	k := keySuffixKey{o, n}
-	if s, ok := keySuffixes.Load(k); ok {
-		return s.(string)
-	}
-	legacy := legacyKeyOptions{
-		Processors:    o.Processors,
-		CommCost:      o.CommCost,
-		CommFromStart: o.CommFromStart,
-		WindowHeight:  o.WindowHeight,
-		MaxIterations: o.MaxIterations,
-		AppendOnly:    o.AppendOnly,
-		FIFOOrder:     o.FIFOOrder,
-		FoldNonCyclic: o.FoldNonCyclic,
-		DriftBound:    o.DriftBound,
-	}
-	var s string
+	var buf [256]byte
+	b := append(buf[:0], hash...)
+	b = strconv.AppendInt(append(b, "|{Processors:"...), int64(o.Processors), 10)
+	b = strconv.AppendInt(append(b, " CommCost:"...), int64(o.CommCost), 10)
+	b = strconv.AppendBool(append(b, " CommFromStart:"...), o.CommFromStart)
+	b = strconv.AppendInt(append(b, " WindowHeight:"...), int64(o.WindowHeight), 10)
+	b = strconv.AppendInt(append(b, " MaxIterations:"...), int64(o.MaxIterations), 10)
+	b = strconv.AppendBool(append(b, " AppendOnly:"...), o.AppendOnly)
+	b = strconv.AppendBool(append(b, " FIFOOrder:"...), o.FIFOOrder)
+	b = strconv.AppendBool(append(b, " FoldNonCyclic:"...), o.FoldNonCyclic)
+	b = strconv.AppendInt(append(b, " DriftBound:"...), int64(o.DriftBound), 10)
+	b = append(b, '}')
 	if o.Grain > 1 {
-		s = fmt.Sprintf("|%+v|grain%d|n%d", legacy, o.Grain, n)
-	} else {
-		s = fmt.Sprintf("|%+v|n%d", legacy, n)
+		b = strconv.AppendInt(append(b, "|grain"...), int64(o.Grain), 10)
 	}
-	if keySuffixCount.Load() < maxKeySuffixes {
-		if _, loaded := keySuffixes.LoadOrStore(k, s); !loaded {
-			keySuffixCount.Add(1)
-		}
-	}
-	return s
+	b = strconv.AppendInt(append(b, "|n"...), int64(n), 10)
+	return string(b)
 }
 
 // Schedule runs the full pipeline on g for n iterations, serving from the

@@ -559,7 +559,9 @@ func Simulate(g *Graph, progs []Program, cfg MachineConfig) (*MachineStats, erro
 // message to the sender itself, a receive nothing feeds) or that reads a
 // value it never computed or received gets an error without running.
 func Execute(g *Graph, progs []Program, sem Semantics) (map[InstanceID]float64, error) {
-	return mimdrt.Run(g, progs, sem)
+	r := mimdrt.NewRunner(g, progs, sem)
+	defer r.Close()
+	return r.Run()
 }
 
 // ExecuteSequential interprets the graph in body order: ground truth for
