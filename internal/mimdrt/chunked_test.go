@@ -27,11 +27,10 @@ func chunkedProgs(t testing.TB, g *graph.Graph, grain, n, procs int) []program.P
 	return progs
 }
 
-// TestChunkedRunnerMatchesSequential pins chunked execution against the
-// sequential ground truth across grains, including grains that leave a
-// partial final chunk and grains larger than the iteration count, on
-// every pass of a reused Runner.
-func TestChunkedRunnerMatchesSequential(t *testing.T) {
+// TestRunChunkedMatchesSequential pins a one-shot chunked pass against
+// the sequential ground truth across grains, including grains that leave
+// a partial final chunk and grains larger than the iteration count.
+func TestRunChunkedMatchesSequential(t *testing.T) {
 	streams, err := workload.Streams(2, 4, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -47,18 +46,37 @@ func TestChunkedRunnerMatchesSequential(t *testing.T) {
 		for _, grain := range []int{2, 3, 4, 8, 16, 64} {
 			for _, n := range []int{1, 7, 16, 41} {
 				progs := chunkedProgs(t, g, grain, n, 2)
-				want := Sequential(g, MixSemantics{}, n)
-				r := NewChunkedRunner(g, progs, MixSemantics{}, grain, n)
-				for pass := 0; pass < 2; pass++ {
-					got, err := r.Run()
-					if err != nil {
-						t.Fatalf("grain %d n %d pass %d: %v", grain, n, pass, err)
-					}
-					valuesEqual(t, got, want)
+				got, err := runOnce(g, progs, grain, n)
+				if err != nil {
+					t.Fatalf("grain %d n %d: %v", grain, n, err)
 				}
-				r.Close()
+				valuesEqual(t, got, Sequential(g, MixSemantics{}, n))
 			}
 		}
+	}
+}
+
+// TestChunkedRunnerMatchesRunChunked pins a reused chunked Runner
+// against a one-shot chunked pass of the same program set.
+func TestChunkedRunnerMatchesRunChunked(t *testing.T) {
+	g, err := workload.Streams(1, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const grain, n = 4, 30
+	progs := chunkedProgs(t, g, grain, n, 2)
+	want, err := runOnce(g, progs, grain, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewChunkedRunner(g, progs, MixSemantics{}, grain, n)
+	defer r.Close()
+	for trial := 0; trial < 3; trial++ {
+		got, err := r.Run()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		valuesEqual(t, got, want)
 	}
 }
 

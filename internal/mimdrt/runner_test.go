@@ -14,30 +14,60 @@ import (
 // worker goroutines carry no state between passes.
 func TestRunnerReusesWorkersAcrossTrials(t *testing.T) {
 	g := figure7(t)
-	for _, c := range []struct{ procs, comm, n int }{{2, 2, 30}, {3, 1, 20}} {
-		res, err := core.CyclicSched(g, core.Options{Processors: c.procs, CommCost: c.comm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := res.Expand(c.n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs, err := program.Build(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := Sequential(g, MixSemantics{}, c.n)
-		r := NewRunner(g, progs, MixSemantics{})
-		for trial := 0; trial < 5; trial++ {
-			got, err := r.Run()
-			if err != nil {
-				t.Fatalf("%+v trial %d: %v", c, trial, err)
-			}
-			valuesEqual(t, got, want)
-		}
-		r.Close()
+	res, err := core.CyclicSched(g, core.Options{Processors: 2, CommCost: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	n := 30
+	s, err := res.Expand(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := program.Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Sequential(g, MixSemantics{}, n)
+	r := NewRunner(g, progs, MixSemantics{})
+	defer r.Close()
+	for trial := 0; trial < 5; trial++ {
+		got, err := r.Run()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		valuesEqual(t, got, want)
+	}
+}
+
+// TestRunnerMatchesRun: a pass of a kept Runner computes what a one-shot
+// pass (a fresh Runner, one Run, Close) computes, and both are the
+// sequential values.
+func TestRunnerMatchesRun(t *testing.T) {
+	g := figure7(t)
+	res, err := core.CyclicSched(g, core.Options{Processors: 3, CommCost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := res.Expand(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := program.Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runOnce(g, progs, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valuesEqual(t, want, Sequential(g, MixSemantics{}, 20))
+	r := NewRunner(g, progs, MixSemantics{})
+	defer r.Close()
+	got, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	valuesEqual(t, got, want)
 }
 
 // TestRunnerDiesCleanlyOnInvalidProgram: a failed pass reports its
