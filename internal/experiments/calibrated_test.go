@@ -3,9 +3,15 @@ package experiments
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mimdloop/internal/calib"
+	"mimdloop/internal/exec"
+	"mimdloop/internal/graph"
+	"mimdloop/internal/pipeline"
+	"mimdloop/internal/program"
+	"mimdloop/internal/workload"
 )
 
 // TestTable1CalibratedAcceptance pins the calibration table's scoring on
@@ -55,6 +61,50 @@ func TestTable1CalibratedAcceptance(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Format() missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// countingSim is the sim backend with a count of the trial runs it
+// made. It is deterministic, so the evaluator memoizes it.
+type countingSim struct {
+	exec.Sim
+	runs atomic.Int64
+}
+
+func (c *countingSim) RunTrials(g *graph.Graph, progs []program.Program, iterations int, cfg exec.TrialConfig) (*exec.TrialStats, error) {
+	c.runs.Add(1)
+	return c.Sim.RunTrials(g, progs, iterations, cfg)
+}
+
+// TestTimedRepeatsRunFresh: 1c reports the fastest of a deterministic
+// tune's timed repeats, so every repeat must run its trials. Repeats on
+// the same plans would replay the plan's memo and time a lookup; the
+// harness tunes each repeat after the first on fresh plans, and the
+// shared pipeline's replay counter stays put.
+func TestTimedRepeatsRunFresh(t *testing.T) {
+	g, err := workload.Random(workload.PaperSpec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := pipeline.New(pipeline.Config{})
+	be := &countingSim{}
+	v, err := tuneAndJudge(pipe, g, 1, 40, []ranking{
+		{grid: calibratedGrid},
+		{grid: calibratedGrid, eval: &pipeline.MeasuredEvaluator{Trials: 1, Backend: be}, repeats: calibratedTimingRuns},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := len(calibratedGrid.Processors) * len(calibratedGrid.CommCosts)
+	if got := be.runs.Load(); got != int64(calibratedTimingRuns*cells) {
+		t.Errorf("%d timed repeats over %d cells ran the backend %d times, want %d",
+			calibratedTimingRuns, cells, got, calibratedTimingRuns*cells)
+	}
+	if st := pipe.Stats().Evals; st.Replayed != 0 || st.Measured != uint64(cells) {
+		t.Errorf("shared pipeline evals %+v, want %d measured and none replayed", st, cells)
+	}
+	if v[1].tune == nil || v[1].tuneNs <= 0 {
+		t.Errorf("timed ranking verdict %+v", v[1])
 	}
 }
 

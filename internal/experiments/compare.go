@@ -53,8 +53,9 @@ type ranking struct {
 	// serial sets the serial threshold just above the loop's total work:
 	// the tune must return the serial fallback.
 	serial bool
-	// repeats runs the tune that many times (at least once) and keeps
-	// the fastest wall clock as the tune's cost.
+	// repeats runs the tune that many times (at least once), each
+	// repeat after the first on fresh plans, and keeps the fastest wall
+	// clock as the tune's cost.
 	repeats int
 	// judges re-score the winner.
 	judges []*pipeline.MeasuredEvaluator
@@ -141,15 +142,29 @@ func tuneAndJudge(pipe *pipeline.Pipeline, g *graph.Graph, seed int64, iters int
 			opt.SerialThreshold = n*g.TotalLatency() + 1
 		}
 		for rep := 0; rep < max(r.repeats, 1); rep++ {
+			// A deterministic evaluation replays on a plan that already ran
+			// it, so every repeat after the first tunes fresh plans: those
+			// of a new pipeline, scheduled by an untimed static tune.
+			tp := pipe
+			if rep > 0 {
+				tp = pipeline.New(pipeline.Config{})
+				static := opt
+				static.Evaluator = nil
+				if _, err := tp.AutoTune(g, n, static); err != nil {
+					return nil, fmt.Errorf("ranking %d warm-up: %w", i, err)
+				}
+			}
 			t0 := time.Now()
-			tune, err := pipe.AutoTune(g, n, opt)
-			if ns := time.Since(t0).Nanoseconds(); v[i].tune == nil || ns < v[i].tuneNs {
+			tune, err := tp.AutoTune(g, n, opt)
+			if ns := time.Since(t0).Nanoseconds(); rep == 0 || ns < v[i].tuneNs {
 				v[i].tuneNs = ns
 			}
 			if err != nil {
 				return nil, fmt.Errorf("ranking %d tune: %w", i, err)
 			}
-			v[i].tune = tune
+			if rep == 0 {
+				v[i].tune = tune
+			}
 		}
 		if r.serial && !v[i].tune.SerialFallback {
 			return nil, fmt.Errorf("threshold %d did not trip the serial fallback", opt.SerialThreshold)

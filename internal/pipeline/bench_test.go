@@ -115,15 +115,38 @@ func BenchmarkAutoTuneStatic(b *testing.B) {
 }
 
 // BenchmarkAutoTuneMeasured is the same grid ranked by measured Sp over
-// 5 seeded trials per point.
+// 5 seeded trials per point. Each iteration tunes under its own seed:
+// a repeated seed would replay the plans' memos instead of simulating.
 func BenchmarkAutoTuneMeasured(b *testing.B) {
 	g := workload.Figure7().Graph
 	p := New(Config{})
 	opt := tuneGrid
-	opt.Evaluator = &MeasuredEvaluator{Trials: 5, Fluct: 3, Seed: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		opt.Evaluator = &MeasuredEvaluator{Trials: 5, Fluct: 3, Seed: int64(i + 1)}
 		if _, err := p.AutoTune(g, 100, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvaluateReplay is a repeated deterministic evaluation of one
+// plan: Pipeline.Evaluate replays the plan's memo instead of running
+// the trials. Compare against one grid point of BenchmarkAutoTuneMeasured.
+func BenchmarkEvaluateReplay(b *testing.B) {
+	p := New(Config{})
+	plan, _, err := p.Schedule(workload.Figure7().Graph, fig7Opts, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ev := &MeasuredEvaluator{Trials: 5, Fluct: 3, Seed: 1}
+	if _, err := p.Evaluate(ev, plan); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Evaluate(ev, plan); err != nil {
 			b.Fatal(err)
 		}
 	}

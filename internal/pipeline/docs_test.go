@@ -58,7 +58,7 @@ func TestAPIDocCoversRoutes(t *testing.T) {
 		"`backend`", "`objective`", `"backend": "gort"`, "gort", "`worst`", "`p95`",
 		`"sp_min"`, `"sp_mean"`, `"sp_p95"`, `"sp_max"`,
 		`"makespan_min"`, `"makespan_max"`, `"makespan_mean"`, `"makespan_p95"`, `"utilization"`,
-		`"evals"`, `"simulated"`, `"measured"`, `"evaluator"`, `"trials"`,
+		`"evals"`, `"simulated"`, `"measured"`, `"replayed"`, `"evaluator"`, `"trials"`,
 	} {
 		if !strings.Contains(doc, fragment) {
 			t.Errorf("docs/API.md does not document the evaluator surface fragment %s", fragment)

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 
 	"mimdloop/internal/exec"
 	"mimdloop/internal/machine"
@@ -157,12 +159,14 @@ func (StaticEvaluator) Evaluate(p *Plan) (Score, error) {
 // an exec.Backend for Trials repeated runs. With the default sim backend
 // the trials run on the simulated MIMD machine under a seeded
 // fluctuation model — deterministic per (evaluator, plan) and safe to
-// run concurrently. With the gort backend they run for real on the
-// goroutine-per-processor runtime, timed on the wall clock and
-// value-checked against the sequential interpretation. The returned
-// Score.Rate is the Objective's statistic of the measured makespan
-// distribution per iteration, so AutoTune under any objective ranks by
-// what the chosen execution model actually did.
+// run concurrently — so each plan runs a given configuration once and
+// replays it afterwards (see Evaluate). With the gort backend they run
+// for real on the goroutine-per-processor runtime, timed on the wall
+// clock and value-checked against the sequential interpretation, on
+// every evaluation. The returned Score.Rate is the Objective's
+// statistic of the measured makespan distribution per iteration, so
+// AutoTune under any objective ranks by what the chosen execution model
+// actually did.
 type MeasuredEvaluator struct {
 	// Trials is the number of runs to aggregate. 0 means 5. The backend
 	// may collapse the count (the sim backend runs one trial when
@@ -242,86 +246,190 @@ func (e *MeasuredEvaluator) EffectiveTrials() int {
 // so durable stores persist the last measurement per backend alongside
 // the schedule (plan codec v3) — a gort measurement never overwrites a
 // sim one, or vice versa.
+//
+// A deterministic backend's trials run once per (plan, configuration):
+// the plan keeps their summary in a few memo slots keyed on the backend
+// value and the trial configuration, and a repeat evaluation replays it.
+// Objective and Transient are not part of the key, since they only read
+// the summary. Non-deterministic backends (gort) always run.
 func (e *MeasuredEvaluator) Evaluate(p *Plan) (Score, error) {
+	score, _, err := e.evaluate(p)
+	return score, err
+}
+
+// evaluate is Evaluate that also reports whether the trial summary was
+// replayed from the plan's memo instead of run.
+func (e *MeasuredEvaluator) evaluate(p *Plan) (Score, bool, error) {
 	if p.Iterations <= 0 {
-		return Score{}, fmt.Errorf("pipeline: measured evaluation of a %d-iteration plan", p.Iterations)
+		return Score{}, false, fmt.Errorf("pipeline: measured evaluation of a %d-iteration plan", p.Iterations)
 	}
-	be := e.backend()
-	cfg := exec.TrialConfig{
+	key := evalKey{backend: e.backend(), cfg: exec.TrialConfig{
 		Trials:  e.EffectiveTrials(),
 		Fluct:   e.Fluct,
 		Seed:    e.Seed,
 		Grain:   p.Opts.Grain,
 		Machine: e.Base,
+	}}
+	// The memo compares backends with ==, which panics on a type that is
+	// not comparable; such a backend runs every time.
+	var memo *evalMemo
+	if key.backend.Deterministic() && reflect.TypeOf(key.backend).Comparable() {
+		memo = p.evals()
 	}
-	ts, err := be.RunTrials(p.Schedule.Graph, p.Programs, p.Iterations, cfg)
-	if err != nil {
-		return Score{}, fmt.Errorf("pipeline: measured evaluation: %w", err)
+	var sum trialSummary
+	replayed := false
+	if memo != nil {
+		sum, replayed = memo.lookup(key)
 	}
-	seq := ts.Sequential
+	if !replayed {
+		ts, err := key.backend.RunTrials(p.Schedule.Graph, p.Programs, p.Iterations, key.cfg)
+		if err != nil {
+			return Score{}, false, fmt.Errorf("pipeline: measured evaluation: %w", err)
+		}
+		sum = summarize(ts)
+		if memo != nil {
+			memo.store(key, sum)
+		}
+	}
 	sp := func(par float64) float64 {
-		return metrics.ClampZero(metrics.PercentParallelismFloat(seq, par))
+		return metrics.ClampZero(metrics.PercentParallelismFloat(sum.seq, par))
 	}
 	ms := &MeasuredStats{
-		Backend:      ts.Backend,
-		Trials:       ts.Trials,
+		Backend:      sum.backend,
+		Trials:       sum.trials,
 		Fluct:        e.Fluct,
 		Seed:         e.Seed,
-		SpMin:        sp(ts.Max()),
-		SpMean:       sp(ts.Mean()),
-		SpP95:        sp(ts.P95()),
-		SpMax:        sp(ts.Min()),
-		MakespanMin:  int(ts.Min()),
-		MakespanMax:  int(ts.Max()),
-		MakespanMean: ts.Mean(),
-		MakespanP95:  ts.P95(),
-		Utilization:  ts.Utilization,
+		SpMin:        sp(sum.max),
+		SpMean:       sp(sum.mean),
+		SpP95:        sp(sum.p95),
+		SpMax:        sp(sum.min),
+		MakespanMin:  int(sum.min),
+		MakespanMax:  int(sum.max),
+		MakespanMean: sum.mean,
+		MakespanP95:  sum.p95,
+		Utilization:  sum.util,
 	}
 	if !e.Transient {
 		p.SetMeasured(ms)
 	}
-	ranked := ts.Mean()
+	ranked := sum.mean
 	switch e.Objective {
 	case EvalWorst:
-		ranked = ts.Max()
+		ranked = sum.max
 	case EvalP95:
-		ranked = ts.P95()
+		ranked = sum.p95
 	}
 	return Score{
 		Rate:     ranked / float64(p.Iterations),
 		Procs:    p.Procs(),
 		Measured: ms,
-	}, nil
+	}, replayed, nil
+}
+
+// trialSummary is the part of an exec.TrialStats that Evaluate reads. It
+// has a fixed size, so a plan's memo never holds a run's samples.
+type trialSummary struct {
+	backend                        string
+	trials                         int
+	min, max, mean, p95, seq, util float64
+}
+
+func summarize(ts *exec.TrialStats) trialSummary {
+	return trialSummary{
+		backend: ts.Backend, trials: ts.Trials,
+		min: ts.Min(), max: ts.Max(), mean: ts.Mean(), p95: ts.P95(),
+		seq: ts.Sequential, util: ts.Utilization,
+	}
+}
+
+// evalMemoSlots is how many configurations a plan's memo holds. One
+// workload can put three on a plan (a sim tune, a sim probe at another
+// fluctuation, a csim tune); with fewer slots they would evict each
+// other on every cycle.
+const evalMemoSlots = 4
+
+// evalKey is everything a deterministic backend reads besides the plan:
+// the backend value itself (so a csim cost model is part of the key) and
+// the trial configuration.
+type evalKey struct {
+	backend exec.Backend
+	cfg     exec.TrialConfig
+}
+
+// evalMemo holds a plan's deterministic evaluations in a fixed number of
+// slots, replaced round-robin, so a client sending a new seed per request
+// cannot grow a cached plan.
+type evalMemo struct {
+	mu   sync.Mutex
+	next int
+	keys [evalMemoSlots]evalKey
+	sums [evalMemoSlots]trialSummary
+}
+
+func (m *evalMemo) lookup(k evalKey) (trialSummary, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.keys {
+		if m.keys[i] == k {
+			return m.sums[i], true
+		}
+	}
+	return trialSummary{}, false
+}
+
+func (m *evalMemo) store(k evalKey, s trialSummary) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.keys {
+		if m.keys[i] == k { // a concurrent evaluation stored it first
+			return
+		}
+	}
+	m.keys[m.next], m.sums[m.next] = k, s
+	m.next = (m.next + 1) % evalMemoSlots
 }
 
 // Evaluate scores plan under ev (nil means StaticEvaluator), counting
-// the evaluation — and, for measured evaluators, its trials — in the
-// pipeline's Stats. All pipeline consumers (Sweep, AutoTune, the HTTP
-// server's tune/simulate/batch paths) evaluate through here, so the
-// counters are a complete picture of scoring activity.
+// the evaluation in the pipeline's Stats: static and measured
+// evaluations, the measured ones a deterministic backend replayed from
+// the plan's memo, and the trials that actually ran. All pipeline
+// consumers (Sweep, AutoTune, the HTTP server's tune/simulate/batch
+// paths) evaluate through here, so the counters are a complete picture
+// of scoring activity.
 func (p *Pipeline) Evaluate(ev Evaluator, plan *Plan) (Score, error) {
 	if ev == nil {
 		ev = StaticEvaluator{}
 	}
-	var prev *MeasuredStats
+	var (
+		prev     *MeasuredStats
+		score    Score
+		replayed bool
+		err      error
+	)
 	if me, ok := ev.(*MeasuredEvaluator); ok {
 		prev = plan.MeasuredBy(me.BackendName())
+		score, replayed, err = me.evaluate(plan)
+	} else {
+		score, err = ev.Evaluate(plan)
 	}
-	score, err := ev.Evaluate(plan)
 	if err != nil {
 		return score, err
 	}
 	if score.Measured != nil {
 		p.measuredEvals.Add(1)
-		p.evalTrials.Add(uint64(score.Measured.Trials))
-		// Re-put the plan when the evaluation annotated it (transient
-		// probes do not), so durable tiers rewrite its record with the
-		// measurement: the original Put ran at compute time, before any
-		// evaluation, so without this write-through the codec's measured
-		// block would never reach disk. Sim evaluations are
-		// deterministic, so an unchanged annotation skips the rewrite
-		// (with a disk tier each Put is an fsync'd file).
-		if m := plan.MeasuredBy(score.Measured.Backend); m != nil && !p.cfg.DisableCache && (prev == nil || *prev != *m) {
+		if replayed {
+			p.replayedEvals.Add(1)
+		} else {
+			p.evalTrials.Add(uint64(score.Measured.Trials))
+		}
+		// Re-put the plan when the evaluation changed its annotation
+		// (transient probes do not annotate, and SetMeasured keeps the old
+		// pointer for equal stats), so durable tiers rewrite its record
+		// with the measurement: the original Put ran at compute time,
+		// before any evaluation, so without this write-through the codec's
+		// measured block would never reach disk. With a disk tier each Put
+		// is an fsync'd file.
+		if m := plan.MeasuredBy(score.Measured.Backend); m != nil && m != prev && !p.cfg.DisableCache {
 			p.store.Put(PlanKey(plan.GraphHash, plan.Opts, plan.Iterations), plan)
 		}
 	} else {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mimdloop/internal/core"
+	"mimdloop/internal/workload"
 )
 
 // discardResponseWriter is a zero-overhead http.ResponseWriter for
@@ -193,5 +194,39 @@ func TestScheduleCacheHitInvalidatesOnMeasurement(t *testing.T) {
 	}
 	if again := post(); !bytes.Equal(after, again) {
 		t.Fatal("post-measurement hits are not byte-identical")
+	}
+}
+
+// TestRepeatedTuneKeepsHitBody: a repeated deterministic tune lands stats
+// equal to the plan's annotation, which must leave the annotation and
+// its generation alone, so the pre-rendered cache-hit body survives it:
+// tune, hit, tune, hit renders the body once and serves the same slice.
+func TestRepeatedTuneKeepsHitBody(t *testing.T) {
+	p := New(Config{})
+	opt := TuneOptions{Processors: []int{2}, CommCosts: []int{2}, Evaluator: NewMeasuredEvaluator(3, 3, 1)}
+	renders := 0
+	render := func() ([]byte, error) {
+		renders++
+		return []byte(fmt.Sprintf("body %d", renders)), nil
+	}
+	var bodies [][]byte
+	var annotations []*MeasuredStats
+	for i := 0; i < 2; i++ {
+		res, err := p.AutoTune(workload.Figure7().Graph, 100, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := res.Best.Plan.HitResponseBody("fig7", render)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+		annotations = append(annotations, res.Best.Plan.Measured())
+	}
+	if renders != 1 || &bodies[0][0] != &bodies[1][0] {
+		t.Fatalf("tune, hit, tune, hit rendered the body %d times (%q, %q), want once", renders, bodies[0], bodies[1])
+	}
+	if annotations[0] == nil || annotations[1] != annotations[0] {
+		t.Fatalf("the equal annotation was replaced: %p then %p", annotations[0], annotations[1])
 	}
 }

@@ -123,6 +123,22 @@ type Plan struct {
 	hitBody []byte
 	hitLoop string
 	hitGen  uint64
+
+	// memo keeps the plan's deterministic measured evaluations (see
+	// MeasuredEvaluator.Evaluate). It is allocated on the plan's first
+	// such evaluation, so a plan that is never measured carries only the
+	// pointer; planBytes counts its fixed size either way.
+	memo atomic.Pointer[evalMemo]
+}
+
+// evals returns the plan's evaluation memo, allocating it on first
+// use.
+func (p *Plan) evals() *evalMemo {
+	if m := p.memo.Load(); m != nil {
+		return m
+	}
+	p.memo.CompareAndSwap(nil, new(evalMemo))
+	return p.memo.Load()
 }
 
 // Measured returns the plan's most recent simulated-machine (sim
@@ -155,17 +171,24 @@ func (p *Plan) MeasuredAll() []*MeasuredStats {
 // backend's name (an empty Backend means "sim": records from before the
 // backend layer could only have come from the simulator). The stats must
 // not be mutated afterwards (they are shared with concurrent readers).
+// Stats equal to the current annotation leave the plan alone: the old
+// pointer and the annotation generation stay, so a repeated
+// deterministic evaluation does not invalidate the pre-rendered
+// cache-hit body.
 func (p *Plan) SetMeasured(ms *MeasuredStats) {
 	if ms.Backend == "" {
 		ms.Backend = "sim"
 	}
 	p.measuredMu.Lock()
+	defer p.measuredMu.Unlock()
+	if old := p.measured[ms.Backend]; old != nil && *old == *ms {
+		return
+	}
 	if p.measured == nil {
 		p.measured = make(map[string]*MeasuredStats, 1)
 	}
 	p.measured[ms.Backend] = ms
 	p.measuredGen++
-	p.measuredMu.Unlock()
 }
 
 // measuredGeneration returns the annotation write counter. A derived
@@ -252,11 +275,13 @@ type Stats struct {
 
 // EvalStats counts how plans were scored: Static and Measured are
 // evaluator invocations (every Sweep/AutoTune grid point, batch summary
-// and simulate request is one), Trials the simulated machine runs the
-// measured evaluations cost.
+// and simulate request is one), Replayed the measured ones a
+// deterministic backend served from the plan's memo instead of running,
+// and Trials the backend runs the other measured evaluations cost.
 type EvalStats struct {
 	Static   uint64 `json:"static"`
 	Measured uint64 `json:"measured"`
+	Replayed uint64 `json:"replayed"`
 	Trials   uint64 `json:"trials"`
 }
 
@@ -281,6 +306,7 @@ type Pipeline struct {
 
 	staticEvals   atomic.Uint64
 	measuredEvals atomic.Uint64
+	replayedEvals atomic.Uint64
 	evalTrials    atomic.Uint64
 
 	// flight collapses concurrent misses for one key into a single
@@ -570,6 +596,7 @@ func (p *Pipeline) Stats() Stats {
 		Evals: EvalStats{
 			Static:   p.staticEvals.Load(),
 			Measured: p.measuredEvals.Load(),
+			Replayed: p.replayedEvals.Load(),
 			Trials:   p.evalTrials.Load(),
 		},
 	}

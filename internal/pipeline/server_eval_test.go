@@ -319,3 +319,53 @@ func TestServerScheduleSimulate(t *testing.T) {
 		t.Fatalf("stats evals %+v", stats.Evals)
 	}
 }
+
+// TestServerRepeatedTuneReplays: a repeated sim tune and a simulate probe
+// under the same trial configuration replay the plans' memos. The
+// repeated tune's reply is byte-identical to the first measured tune's,
+// /v1/stats counts the replays, and trials counts only the trials that
+// ran.
+func TestServerRepeatedTuneReplays(t *testing.T) {
+	srv := NewServer(New(Config{}))
+	tune := TuneRequest{
+		Source: fig7Source, Processors: []int{2, 3}, CommCosts: []int{2}, Iterations: 100,
+	}
+	// A static tune schedules the grid, so both measured tunes hit.
+	if resp, data := postJSON(t, srv, "/v1/tune", tune); resp.StatusCode != http.StatusOK {
+		t.Fatalf("static tune: status %d: %s", resp.StatusCode, data)
+	}
+	tune.Eval = &EvalRequest{Mode: "measured", Trials: 3, Fluct: 3, Seed: 9}
+	var replies [][]byte
+	for i := 0; i < 2; i++ {
+		resp, data := postJSON(t, srv, "/v1/tune", tune)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("tune %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		replies = append(replies, data)
+	}
+	if string(replies[0]) != string(replies[1]) {
+		t.Fatalf("repeated tune reply changed:\n%s\n%s", replies[0], replies[1])
+	}
+	k := 2
+	body, err := json.Marshal(ScheduleRequest{Source: fig7Source, Processors: 2, CommCost: &k, Iterations: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/schedule?simulate=1&trials=3&fluct=3&seed=9", strings.NewReader(string(body)))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("probe: status %d: %s", rec.Code, rec.Body)
+	}
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var stats struct {
+		Evals EvalStats `json:"evals"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if want := (EvalStats{Static: 2, Measured: 5, Replayed: 3, Trials: 6}); stats.Evals != want {
+		t.Fatalf("stats evals %+v, want %+v", stats.Evals, want)
+	}
+}

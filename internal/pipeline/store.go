@@ -6,6 +6,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"mimdloop/internal/core"
 )
@@ -142,14 +143,17 @@ func (s StoreStats) TotalEvictions() uint64 {
 // planBytes estimates a plan's resident size: placements dominate (the
 // composed schedule plus the pattern copies), with the lowered
 // instruction streams second. The estimate only has to be monotone and
-// stable — it is a budget weight, not an allocator measurement.
+// stable — it is a budget weight, not an allocator measurement. The
+// evaluation memo's fixed size is counted whether or not it was
+// allocated, so a plan weighs the same from Put to eviction.
 func planBytes(p *Plan) int64 {
 	const (
 		planBase      = 512
+		memoSize      = int64(unsafe.Sizeof(evalMemo{}))
 		placementSize = 32
 		instrSize     = 24
 	)
-	n := int64(planBase)
+	n := int64(planBase) + memoSize
 	if p.Schedule != nil && p.Schedule.Full != nil {
 		n += placementSize * int64(len(p.Schedule.Full.Placements))
 	}
